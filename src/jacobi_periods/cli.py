@@ -86,7 +86,7 @@ def cmd_hecke(args) -> int:
     if args.operator == "v":
         out = fourier.apply_V(fourier.e21_expansion(args.qbound * args.n + 1), args.n)
     elif args.operator == "tj":
-        need = fourier._tj_needed_nmax(args.p, max(args.qbound - 1, 0)) + 1
+        need = fourier.tj_needed_nmax(args.p, max(args.qbound - 1, 0)) + 1
         out = fourier.apply_T_jacobi(fourier.e21_expansion(max(need, args.qbound)), args.p)
     elif args.operator == "thalf":
         out = fourier.apply_T_half(fourier.h32_series(args.qbound * args.p**2 + 1), args.p)
@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
         qb = args.qbound or 15
         detail, ok = {"qbound": qb, "primes": primes}, True
         for p in primes:
-            need = fourier._tj_needed_nmax(p, qb - 1) + 1
+            need = fourier.tj_needed_nmax(p, qb - 1) + 1
             f = fourier.e21_expansion(need)
             out = fourier.apply_T_jacobi(f, p)
             good = out.equal_below(f.scaled_by(p + 1), qb)

@@ -22,6 +22,20 @@ def _num(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _equal_below(f, g, bound, exponent) -> bool:
+    """Coefficientwise equality of two expansions of one type below q^bound;
+    `exponent` reads the scaled q-exponent from a coefficient key."""
+    bound = _num(bound)
+    if bound > min(f.qbound, g.qbound):
+        raise DomainError("comparison bound exceeds a completeness bound")
+    lcm = f.scale // gcd(f.scale, g.scale) * g.scale
+    a, b = f.rescaled(lcm), g.rescaled(lcm)
+    for key in set(a.coeffs) | set(b.coeffs):
+        if Fraction(exponent(key), lcm) < bound and a.coeffs.get(key, 0) != b.coeffs.get(key, 0):
+            return False
+    return True
+
+
 @dataclass
 class QSeries:
     """Truncated one-variable q-series with rational exponents n_scaled/scale."""
@@ -51,16 +65,7 @@ class QSeries:
         return self.rescaled(lcm).coeffs == other.rescaled(lcm).coeffs
 
     def equal_below(self, other: "QSeries", bound) -> bool:
-        bound = _num(bound)
-        if bound > min(self.qbound, other.qbound):
-            raise DomainError("comparison bound exceeds a completeness bound")
-        s = gcd(self.scale, other.scale)
-        lcm = self.scale // s * other.scale
-        a, b = self.rescaled(lcm), other.rescaled(lcm)
-        for n in set(a.coeffs) | set(b.coeffs):
-            if Fraction(n, lcm) < bound and a.coeff(n) != b.coeff(n):
-                return False
-        return True
+        return _equal_below(self, other, bound, lambda n: n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,16 +126,7 @@ class JacobiExpansion:
                                min(self.qbound, other.qbound))
 
     def equal_below(self, other: "JacobiExpansion", bound) -> bool:
-        bound = _num(bound)
-        if bound > min(self.qbound, other.qbound):
-            raise DomainError("comparison bound exceeds a completeness bound")
-        s = gcd(self.scale, other.scale)
-        lcm = self.scale // s * other.scale
-        a, b = self.rescaled(lcm), other.rescaled(lcm)
-        for key in set(a.coeffs) | set(b.coeffs):
-            if Fraction(key[0], lcm) < bound and a.coeff(*key) != b.coeff(*key):
-                return False
-        return True
+        return _equal_below(self, other, bound, lambda key: key[0])
 
     def min_discriminant(self) -> Fraction | None:
         """min over stored terms of 4*index*n - r^2, None when empty."""
@@ -297,7 +293,7 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
     return JacobiExpansion(f.weight, f.index * ell, 1, coeffs, q_out)
 
 
-def _tj_needed_nmax(n: int, N: int) -> int:
+def tj_needed_nmax(n: int, N: int) -> int:
     """Largest input exponent a complete output coefficient at q^N can read."""
     return n * n * (N + isqrt(4 * N) * (n - 1) + (n - 1) ** 2)
 
@@ -324,7 +320,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
         return JacobiExpansion(f.weight, 1, 1, dict(f.coeffs), f.qbound)
     qb = int(f.qbound)
     q_out = 0
-    while _tj_needed_nmax(n, q_out) < qb:
+    while tj_needed_nmax(n, q_out) < qb:
         q_out += 1
     coeffs: dict[tuple[int, int], Fraction] = {}
     for a in divisors(n * n):
@@ -479,7 +475,7 @@ def diagram_check(p: int, disc: int, qbound: int, literal_weight2: bool = False)
     absd = -disc
     need_phi = p * p * (qbound - 1) ** 2 * absd + 1
     need_psi = 4 * ((qbound - 1) * p * p) + 1
-    need_tj = 4 * _tj_needed_nmax(p, qbound - 1) + 5
+    need_tj = 4 * tj_needed_nmax(p, qbound - 1) + 5
     h = h32_series(max(need_phi, need_psi, need_tj))
     th = apply_T_half(h, p)
 

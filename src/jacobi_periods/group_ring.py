@@ -23,6 +23,7 @@ matrix, and only det = level^2 elements participate in orbit reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .arith import divisors, is_square
@@ -192,20 +193,32 @@ def _square_gcd_ok(*vals: int) -> bool:
     return is_square(g)
 
 
+def _hat_matrices(n: int):
+    """The matrices [[a, b], [0, d]] with ad = n^2, b mod d and gcd(a, b, d)
+    a perfect square."""
+    for a in divisors(n * n):
+        d = n * n // a
+        for b in range(d):
+            if _square_gcd_ok(a, b, d):
+                yield (a, b, 0, d)
+
+
+def _full_lattice_sum(n: int, mats) -> FormalSum:
+    """Each matrix at level n with every lattice part in (Z/n)^2."""
+    f = FormalSum(n)
+    for mat in mats:
+        for x in range(n):
+            for y in range(n):
+                f.add_term(canonicalize(n, mat, n * x, n * y), 1)
+    return f
+
+
 def hecke_hat(n: int) -> FormalSum:
     """Normalization-free index-preserving Hecke sum: all [ [a,b],[0,d] ]/n with
     ad = n^2, gcd(a,b,d) a perfect square, b mod d, lattice over (Z/n)^2."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    f = FormalSum(n)
-    for a in divisors(n * n):
-        d = n * n // a
-        for b in range(d):
-            if _square_gcd_ok(a, b, d):
-                for x in range(n):
-                    for y in range(n):
-                        f.add_term(canonicalize(n, (a, b, 0, d), n * x, n * y), 1)
-    return f
+    return _full_lattice_sum(n, _hat_matrices(n))
 
 
 def _tilde_matrix_lists(n: int, det: int):
@@ -246,13 +259,7 @@ def tilde_T(n: int) -> FormalSum:
     matrices with the square-gcd filters and the full (Z/n)^2 lattice sum."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    f = FormalSum(n)
-    for fam in _tilde_matrix_lists(n, n * n):
-        for mat in fam:
-            for x in range(n):
-                for y in range(n):
-                    f.add_term(canonicalize(n, mat, n * x, n * y), 1)
-    return f
+    return _full_lattice_sum(n, chain.from_iterable(_tilde_matrix_lists(n, n * n)))
 
 
 def tilde_V(n: int) -> FormalSum:
@@ -424,7 +431,7 @@ def decompose_ideal_member(f: FormalSum):
 def _estimate_terms(n: int) -> int:
     n2 = n * n
     matrices = sum(len(fam) for fam in _tilde_matrix_lists(n, n2))
-    hat = sum(1 for a in divisors(n2) for b in range(n2 // a) if _square_gcd_ok(a, b, n2 // a))
+    hat = sum(1 for _ in _hat_matrices(n))
     return (matrices + hat) * n2
 
 

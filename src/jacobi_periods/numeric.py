@@ -36,7 +36,7 @@ import mpmath as mp
 
 from .errors import DomainError, PrecisionError
 from .fourier import JacobiExpansion, QSeries, e21_expansion, h_mu_series
-from .group_ring import FormalSum, tilde_T, tilde_V
+from .group_ring import FormalSum, hecke_hat, tilde_T, tilde_V
 from .jacobi_group import JacobiGroupElement, generator, minus_identity_shift, power
 
 
@@ -53,7 +53,7 @@ class EvalPoint:
 @dataclass(frozen=True)
 class NumericConfig:
     qmax: int = 48            # series truncation used when building expansions
-    quad_nodes: int = 6       # max Gauss-Legendre degree passed to the integrator
+    quad_nodes: int = 6       # maxdegree of mp.quad's tanh-sinh rule
     tol: float = 1e-9         # verification tolerance for self-checks
     dps: int = 30             # working precision in decimal digits
 
@@ -95,10 +95,11 @@ def pairwise_sum(values):
 
 
 def _tail_bound(f, tau, z, cfg) -> mp.mpf:
-    """Bound the dropped tail of a truncated expansion at (tau, z) assuming
-    the coefficient growth |c(n, r)| <= C (n+1)^2 estimated from the stored
-    data (exact for the class-number series, whose coefficients grow
-    linearly), with the zeta-support r^2 <= 4 * index * n."""
+    """Estimate the dropped tail of a truncated expansion at (tau, z) from
+    the coefficient growth |c(n, r)| <= C (n+1)^2, with C fitted to the
+    stored data (the class-number coefficients grow linearly, but nothing
+    proves the fit for unstored terms), and the zeta-support
+    r^2 <= 4 * index * n."""
     v = mp.im(tau)
     y = abs(mp.im(z)) if isinstance(f, JacobiExpansion) else mp.mpf(0)
     m = float(f.index) if isinstance(f, JacobiExpansion) else 0.0
@@ -126,7 +127,8 @@ def _tail_bound(f, tau, z, cfg) -> mp.mpf:
 
 def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
     """Evaluate a truncated expansion at (tau, z); returns (value, tail_bound)
-    with the bound certifying the truncation error of the stored partial sum."""
+    with `_tail_bound`'s estimate of the truncation error of the stored
+    partial sum."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         tau, z = _mpc(point.tau), _mpc(point.z)
@@ -156,27 +158,39 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
 # Slash action
 
 
+def _normalized(g: JacobiGroupElement):
+    """g as a floating triple (matrix / sqrt(det), translation, phase) at the
+    active precision."""
+    det = g.det
+    s = mp.sqrt(mp.mpf(det.numerator) / det.denominator)
+    mat = tuple(mp.mpf(v.numerator) / v.denominator / s for v in g.mat)
+    trans = tuple(mp.mpf(v.numerator) / v.denominator for v in g.trans)
+    return mat, trans, mp.mpf(g.phase.numerator) / g.phase.denominator
+
+
+def _act(t, k, m, tau, z):
+    """(j(t; tau, z), t(tau, z)) for a normalized triple t: the automorphy
+    factor at weight k and index m, and the image point."""
+    (a, b, c, d), (lam, mu), phase = t
+    den = c * tau + d
+    w = z + lam * tau + mu
+    j = den ** (-k) * _e(m * (lam * lam * tau + 2 * lam * z + lam * mu - c * w * w / den))
+    if phase:
+        j *= _e(m * phase)
+    return j, (a * tau + b) / den, w / den
+
+
 def slash(fval, g: JacobiGroupElement, k, m):
     """The weighted action: returns (tau, z) -> j(g; tau, z) fval(g(tau, z)).
 
     Matrices of determinant ell > 0 are divided by sqrt(ell) first; the
     translation and phase slots are used as stored.  Non-integer k uses the
     principal branch of (c tau + d)^(-k)."""
-    det = g.det
     kf = mp.mpf(k.numerator) / k.denominator if isinstance(k, Fraction) else mp.mpf(k)
 
     def acted(tau, z):
-        tau, z = _mpc(tau), _mpc(z)
-        s = mp.sqrt(mp.mpf(det.numerator) / det.denominator)
-        a, b, c, d = (mp.mpf(v.numerator) / v.denominator / s for v in g.mat)
-        lam = mp.mpf(g.trans[0].numerator) / g.trans[0].denominator
-        mu = mp.mpf(g.trans[1].numerator) / g.trans[1].denominator
-        den = c * tau + d
-        w = z + lam * tau + mu
-        j = den ** (-kf) * _e(m * (lam * lam * tau + 2 * lam * z + lam * mu - c * w * w / den))
-        if g.phase:
-            j *= _e(m * (mp.mpf(g.phase.numerator) / g.phase.denominator))
-        return j * fval((a * tau + b) / den, w / den)
+        j, tau2, z2 = _act(_normalized(g), kf, m, _mpc(tau), _mpc(z))
+        return j * fval(tau2, z2)
 
     return acted
 
@@ -260,10 +274,21 @@ def completion_term(mu: int, tau, lmax=None):
     return total / mp.sqrt(v)
 
 
+def _inverted_theta_sum(mu: int, t):
+    """sum over k in Z of (-1)^(mu k) e^(-pi k^2 / (2t)), which equals
+    (2t)^(1/2) theta_mu(i t, 0) by the modular inversion; converges fast for
+    t < 1."""
+    sign = -1 if mu == 1 else 1
+    s, k = mp.mpf(0), 1
+    while k * k / (2 * t) < mp.mp.dps * 3 + 8:
+        s += 2 * (sign**k) * mp.e ** (-mp.pi * k * k / (2 * t))
+        k += 1
+    return 1 + s
+
+
 def _theta_line_value(mu: int, t):
     """theta_mu(i t, 0) for real t > 0, by the convergent side of the modular
-    inversion: direct sum for t >= 1, inverted sum (prefactor (2t)^(-1/2))
-    for t < 1."""
+    inversion: direct sum for t >= 1, inverted sum for t < 1."""
     t = mp.mpf(t)
     if t >= 1:
         total = mp.mpf(0)
@@ -272,13 +297,7 @@ def _theta_line_value(mu: int, t):
             total += (2 if r else 1) * mp.e ** (-2 * mp.pi * t * r * r / 4)
             r += 2
         return total
-    inv = mp.mpf(0)
-    sign = -1 if mu == 1 else 1
-    k = 0
-    while k * k / (2 * t) < mp.mp.dps * 3 + 8:
-        inv += (2 if k else 1) * (sign**k) * mp.e ** (-mp.pi * k * k / (2 * t))
-        k += 1
-    return inv / mp.sqrt(2 * t)
+    return _inverted_theta_sum(mu, t) / mp.sqrt(2 * t)
 
 
 class PeriodEvaluator:
@@ -312,18 +331,10 @@ class PeriodEvaluator:
                 lambda t: (tau + 1j * t) ** p32 * _theta_line_value(1, t), [1, mp.inf],
                 maxdegree=cfg.quad_nodes)
         # lower piece via t = u^2 and the inverted theta sum: the integrand
-        # (tau + i u^2)^(-3/2) (1 + rho_mu(u^2)) is smooth on [0, 1]
-        sign = -1 if mu == 1 else 1
-
-        def rho(t):
-            s, k = mp.mpf(0), 1
-            while k * k / (2 * t) < mp.mp.dps * 3 + 8:
-                s += 2 * (sign**k) * mp.e ** (-mp.pi * k * k / (2 * t))
-                k += 1
-            return s
-
+        # (tau + i u^2)^(-3/2) (2 u^2)^(1/2) theta_mu(i u^2, 0) is smooth on [0, 1]
         lower = 1j * mp.sqrt(2) * mp.quad(
-            lambda u: (tau + 1j * u * u) ** p32 * (1 + rho(u * u)) if u > 0 else tau**p32,
+            lambda u: (tau + 1j * u * u) ** p32 * _inverted_theta_sum(mu, u * u)
+            if u > 0 else tau**p32,
             [0, 1], maxdegree=cfg.quad_nodes)
         val = upper + lower
         self._cache[key] = val
@@ -392,7 +403,7 @@ def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
         total = mp.mpc(0)
         for mu in (0, 1):
             h = h_mu_series(mu, cfg.qmax)
-            hval, _ = eval_expansion(h, EvalPoint(complex(tau), 0j), cfg)
+            hval, _ = eval_expansion(h, EvalPoint(tau), cfg)
             fmu = hval if holomorphic_only else hval + 2 * completion_term(mu, tau)
             total += fmu * theta_value(mu, tau, z)
         return total
@@ -404,7 +415,7 @@ def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
 
 def _as_fn(expansion, cfg):
     def fn(tau, z):
-        val, _ = eval_expansion(expansion, EvalPoint(complex(tau), complex(z)), cfg)
+        val, _ = eval_expansion(expansion, EvalPoint(tau, z), cfg)
         return val
 
     return fn
@@ -563,8 +574,9 @@ def check_extended_relation_readings(cfg: NumericConfig | None = None, points=DE
 
 
 def check_cocycle(cfg: NumericConfig | None = None, trials: int = 100, seed: int = 23) -> dict:
-    """Cocycle identity j(g1 g2) = j(g1, g2 pt) j(g2, pt) on random integral
-    elements and on normalized determinant-ell elements, phases included.
+    """Cocycle identity j(g1 g2) = j(g1, g2 pt) j(g2, pt) for the factor that
+    `slash` applies, on random integral elements and on normalized
+    determinant-ell elements, phases included.
 
     Elements of determinant ell > 1 compose inside the ambient triple group
     only after the 1/sqrt(ell) normalization, so the composite here is formed
@@ -578,31 +590,12 @@ def check_cocycle(cfg: NumericConfig | None = None, trials: int = 100, seed: int
     pts = [(_mpc(p.tau), _mpc(p.z)) for p in DEFAULT_POINTS]
     from .jacobi_group import compose
 
-    def to_float(g: JacobiGroupElement):
-        det = g.det
-        s = mp.sqrt(mp.mpf(det.numerator) / det.denominator)
-        mat = tuple(mp.mpf(v.numerator) / v.denominator / s for v in g.mat)
-        trans = tuple(mp.mpf(v.numerator) / v.denominator for v in g.trans)
-        return (mat, trans, mp.mpf(g.phase.numerator) / g.phase.denominator)
-
     def compose_float(t1, t2):
         (a1, b1, c1, d1), (l1, m1), p1 = t1
         (a2, b2, c2, d2), (l2, m2), p2 = t2
         mat = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
         u, v = l1 * a2 + m1 * c2, l1 * b2 + m1 * d2
         return (mat, (u + l2, v + m2), p1 + p2 + (u * m2 - v * l2))
-
-    def jfactor(t, k, m, tau, z):
-        (a, b, c, d), (lam, mu), phase = t
-        den = c * tau + d
-        w = z + lam * tau + mu
-        return _e(m * phase) * den ** (-mp.mpf(k)) * _e(
-            m * (lam * lam * tau + 2 * lam * z + lam * mu - c * w * w / den))
-
-    def transformed(t, tau, z):
-        (a, b, c, d), (lam, mu), _ = t
-        den = c * tau + d
-        return (a * tau + b) / den, (z + lam * tau + mu) / den
 
     def rand_int_element():
         g = generator("E")
@@ -617,42 +610,30 @@ def check_cocycle(cfg: NumericConfig | None = None, trials: int = 100, seed: int
                                        (rng.randint(-2, 2), rng.randint(-2, 2)))
 
     with mp.workdps(cfg.dps):
+        k = mp.mpf(2)
         worst = mp.mpf(0)
         for _ in range(trials):
             g1, g2 = rand_int_element(), rand_int_element()
             if rng.random() < 0.5:
                 g2 = rand_det_ell_element()
-            t1, t2 = to_float(g1), to_float(g2)
+            t1, t2 = _normalized(g1), _normalized(g2)
             t12 = compose_float(t1, t2)
             for tau, z in pts:
-                tt, zz = transformed(t2, tau, z)
-                lhs = jfactor(t1, 2, 1, tt, zz) * jfactor(t2, 2, 1, tau, z)
-                rhs = jfactor(t12, 2, 1, tau, z)
-                worst = max(worst, abs(lhs - rhs))
+                j2, tt, zz = _act(t2, k, 1, tau, z)
+                lhs = _act(t1, k, 1, tt, zz)[0] * j2
+                worst = max(worst, abs(lhs - _act(t12, k, 1, tau, z)[0]))
         return {"check": "cocycle", "max_abs_error": float(worst), "trials": trials}
 
 
 def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = None):
     """Direct evaluation of the index-preserving Hecke sum on the weight-2
-    index-1 expansion: n^(k-4) sum over the upper-triangular representatives
-    and lattice of the slashed series (the numeric side of the oracle pair)."""
+    index-1 expansion: n^(k-4) times the slash of the series by `hecke_hat(n)`
+    (the numeric side of the oracle pair)."""
     cfg = cfg or NumericConfig()
     k = 2
     with mp.workdps(cfg.dps):
         # lattice terms shift z by X tau, so the zeta-direction tail decays
-        # slowly; a longer expansion keeps the certified bound below tol
+        # slowly; a longer expansion keeps the estimated tail bound below tol
         f = _as_fn(e21_expansion(max(cfg.qmax, 80 * n * n)), cfg)
-        tau, z = _mpc(point.tau), _mpc(point.z)
-        from .arith import divisors, gcd3, is_square
-
-        parts = []
-        for a in divisors(n * n):
-            d = n * n // a
-            for b in range(d):
-                if not is_square(gcd3(a, b, d)):
-                    continue
-                for x in range(n):
-                    for y in range(n):
-                        g = JacobiGroupElement.make(((a, b), (0, d)), (x, y))
-                        parts.append(slash(f, g, k, 1)(tau, z))
-        return mp.mpf(n) ** (k - 4) * pairwise_sum(parts)
+        acted = slash_formal_sum(f, hecke_hat(n), k, 1)
+        return mp.mpf(n) ** (k - 4) * acted(point.tau, point.z)

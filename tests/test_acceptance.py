@@ -51,7 +51,7 @@ def test_criterion_01_theta_decomposition():
 
 def test_criterion_02_hecke_eigenvalues():
     t0 = time.monotonic()
-    need = fourier._tj_needed_nmax(5, 14) + 1
+    need = fourier.tj_needed_nmax(5, 14) + 1
     f = fourier.e21_expansion(need)
     ok = True
     for p in (2, 3, 5):

@@ -8,6 +8,7 @@ from jacobi_periods.errors import DomainError, InvalidElementError, ResourceLimi
 from jacobi_periods.group_ring import (
     FormalSum,
     RingBasisElement,
+    _estimate_terms,
     canonicalize,
     check_product_formula,
     check_theorem_congruence,
@@ -243,6 +244,11 @@ def test_theorem_congruence():
 def test_theorem_congruence_resource_limit():
     with pytest.raises(ResourceLimitError):
         check_theorem_congruence(50)
+
+
+def test_term_budget_counts_the_guarded_sums():
+    for n in range(1, 6):
+        assert _estimate_terms(n) == len(hecke_hat(n)) + len(tilde_T(n)), n
 
 
 def test_hat_b_convention_immaterial_mod_ideal():

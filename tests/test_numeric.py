@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 
+from jacobi_periods import numeric
 from jacobi_periods.errors import DomainError, PrecisionError
 from jacobi_periods.fourier import QSeries, apply_T_jacobi, e21_expansion, theta
 from jacobi_periods.jacobi_group import JacobiGroupElement, generator
@@ -50,7 +51,7 @@ def test_eval_expansion_constant_and_dominant_term():
 
 def test_eval_expansion_theta_cross_check():
     # stored partial sums at two truncation orders against the adaptive
-    # direct evaluation: both stay below their certified tail bounds
+    # direct evaluation: both stay below their estimated tail bounds
     for qb in (40, 60):
         t0 = theta(0, qb)
         for pt in DEFAULT_POINTS:
@@ -86,6 +87,21 @@ def test_slash_identity_and_z_translation():
 def test_cocycle_identity():
     report = check_cocycle(CFG, trials=100)
     assert report["max_abs_error"] < 1e-10, report
+
+
+def test_cocycle_check_sees_the_slash_factor(monkeypatch):
+    # drop the lam*mu term from the factor that slash applies: lam*mu is an
+    # integer for integral elements at m = 1, so only the normalized
+    # determinant-ell composites of the cocycle check can expose it
+    act = numeric._act
+
+    def without_lam_mu(t, k, m, tau, z):
+        j, tau2, z2 = act(t, k, m, tau, z)
+        lam, mu = t[1]
+        return j * numeric._e(-m * lam * mu), tau2, z2
+
+    monkeypatch.setattr(numeric, "_act", without_lam_mu)
+    assert check_cocycle(CFG, trials=100)["max_abs_error"] > 1e-3
 
 
 def test_beta_closed_form_vs_quadrature():
