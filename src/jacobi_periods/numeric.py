@@ -94,19 +94,15 @@ def pairwise_sum(values):
 # Series evaluation
 
 
-def _tail_bound(f, tau, z, cfg) -> mp.mpf:
+def _tail_bound(f, tau, z, cfg, cmax) -> mp.mpf:
     """Estimate the dropped tail of a truncated expansion at (tau, z) from
-    the coefficient growth |c(n, r)| <= C (n+1)^2, with C fitted to the
-    stored data (the class-number coefficients grow linearly, but nothing
-    proves the fit for unstored terms), and the zeta-support
+    the coefficient growth |c(n, r)| <= C (n+1)^2, with C = cmax fitted to
+    the stored data (the class-number coefficients grow linearly, but
+    nothing proves the fit for unstored terms), and the zeta-support
     r^2 <= 4 * index * n."""
     v = mp.im(tau)
     y = abs(mp.im(z)) if isinstance(f, JacobiExpansion) else mp.mpf(0)
     m = float(f.index) if isinstance(f, JacobiExpansion) else 0.0
-    cmax = mp.mpf(1)
-    for key, c in f.coeffs.items():
-        n = (key[0] if isinstance(key, tuple) else key) / f.scale
-        cmax = max(cmax, abs(mp.mpf(c.numerator) / c.denominator) / (n + 1) ** 2)
     q = mp.e ** (-2 * mp.pi * v / f.scale)
     total = mp.mpf(0)
     nstart = int(mp.floor(f.qbound * f.scale))
@@ -125,26 +121,52 @@ def _tail_bound(f, tau, z, cfg) -> mp.mpf:
     raise PrecisionError("tail bound did not certify; increase qmax or Im(tau)")
 
 
+def _powers(x, lo, hi):
+    """{e: x^e for lo <= e <= hi} (lo <= 0 <= hi) by repeated multiplication
+    with x and 1/x."""
+    table = {0: mp.mpc(1)}
+    inv = 1 / x
+    for e in range(1, hi + 1):
+        table[e] = table[e - 1] * x
+    for e in range(-1, lo - 1, -1):
+        table[e] = table[e + 1] * inv
+    return table
+
+
 def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
     """Evaluate a truncated expansion at (tau, z); returns (value, tail_bound)
     with `_tail_bound`'s estimate of the truncation error of the stored
-    partial sum."""
+    partial sum.
+
+    Terms are grouped by scaled q-exponent: each row sum_r c zeta^r reads
+    zeta^r from one power table of e(z), and the rows are weighted by integer
+    powers of e(tau/scale), so no term costs an exponential.  Rows and the
+    terms inside each row are reduced by the fixed pairwise tree."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         tau, z = _mpc(point.tau), _mpc(point.z)
-        terms = []
+        rows: dict[int, list] = {}
         if isinstance(f, JacobiExpansion):
             for (ns, r), c in sorted(f.coeffs.items()):
-                terms.append((mp.mpf(c.numerator) / c.denominator)
-                             * _e(mp.mpf(ns) / f.scale * tau + r * z))
+                rows.setdefault(ns, []).append((r, c))
         elif isinstance(f, QSeries):
             for ns, c in sorted(f.coeffs.items()):
-                terms.append((mp.mpf(c.numerator) / c.denominator)
-                             * _e(mp.mpf(ns) / f.scale * tau))
+                rows[ns] = [(0, c)]
         else:
             raise DomainError("unsupported expansion type")
-        value = pairwise_sum(terms)
-        bound = _tail_bound(f, tau, z, cfg)
+        rs = [r for row in rows.values() for r, _ in row]
+        zeta = _powers(_e(z), min(rs, default=0), max(rs, default=0))
+        base = _e(tau / f.scale)
+        cmax = mp.mpf(1)
+        parts, qpow, at = [], mp.mpc(1), 0
+        for ns, row in rows.items():
+            cs = [mp.mpf(c.numerator) / c.denominator for _, c in row]
+            cmax = max(cmax, max(abs(c) for c in cs) / (ns / f.scale + 1) ** 2)
+            qpow *= base ** (ns - at)
+            at = ns
+            parts.append(qpow * pairwise_sum(c * zeta[r] for c, (r, _) in zip(cs, row)))
+        value = pairwise_sum(parts)
+        bound = _tail_bound(f, tau, z, cfg, cmax)
         if bound > cfg.tol:
             extra = float(mp.log(bound / mp.mpf(cfg.tol)) / (2 * mp.pi * mp.im(tau)))
             raise PrecisionError(
@@ -287,17 +309,15 @@ def _inverted_theta_sum(mu: int, t):
 
 
 def _theta_line_value(mu: int, t):
-    """theta_mu(i t, 0) for real t > 0, by the convergent side of the modular
-    inversion: direct sum for t >= 1, inverted sum for t < 1."""
+    """theta_mu(i t, 0) for real t >= 1 by the direct sum, which converges
+    fast there."""
     t = mp.mpf(t)
-    if t >= 1:
-        total = mp.mpf(0)
-        r = mu
-        while r * r * t / 2 < mp.mp.dps * 3 + 8:
-            total += (2 if r else 1) * mp.e ** (-2 * mp.pi * t * r * r / 4)
-            r += 2
-        return total
-    return _inverted_theta_sum(mu, t) / mp.sqrt(2 * t)
+    total = mp.mpf(0)
+    r = mu
+    while r * r * t / 2 < mp.mp.dps * 3 + 8:
+        total += (2 if r else 1) * mp.e ** (-2 * mp.pi * t * r * r / 4)
+        r += 2
+    return total
 
 
 class PeriodEvaluator:
@@ -387,6 +407,33 @@ def eichler_theta_integral(mu: int, tau, cfg: NumericConfig | None = None):
 # The completed weight-2 index-1 invariant function
 
 
+def _theta_decomposition(tau, z, cfg, completed):
+    """sum_mu F_mu(tau) theta_mu(tau, z) over mu in {0, 1}, with F_mu the
+    class-number component h_mu, plus twice its completion term when
+    `completed`.  h_mu is truncated where q^Q drops below 10^-(dps+3), and
+    never below cfg.qmax."""
+    v = mp.im(tau)
+    qbound = max(cfg.qmax, int(mp.ceil((cfg.dps + 3) * mp.log(10) / (2 * mp.pi * v))))
+    total = mp.mpc(0)
+    for mu in (0, 1):
+        fmu, _ = eval_expansion(h_mu_series(mu, qbound), EvalPoint(tau), cfg)
+        if completed:
+            fmu += 2 * completion_term(mu, tau)
+        total += fmu * theta_value(mu, tau, z)
+    return total
+
+
+def e21_value(tau, z, cfg: NumericConfig | None = None):
+    """E(tau, z) = -12 sum_mu h_mu(tau) theta_mu(tau, z), the theta
+    decomposition of the weight-2 index-1 class-number series (Eichler-Zagier
+    section 5; checked coefficientwise by `fourier.theta_decomposition_check`).
+    It costs O(Q) one-variable terms plus an adaptive `theta_value`, with no
+    tail in the zeta direction."""
+    cfg = cfg or NumericConfig()
+    with mp.workdps(cfg.dps):
+        return -12 * _theta_decomposition(_mpc(tau), _mpc(z), cfg, completed=False)
+
+
 def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
     """F_0 theta_0 + F_1 theta_1 with F_mu the class-number component plus
     twice its nonholomorphic completion term; with holomorphic_only the
@@ -399,34 +446,18 @@ def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
     whose completion is twice the sum of the two printed component terms."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        tau, z = _mpc(tau), _mpc(z)
-        total = mp.mpc(0)
-        for mu in (0, 1):
-            h = h_mu_series(mu, cfg.qmax)
-            hval, _ = eval_expansion(h, EvalPoint(tau), cfg)
-            fmu = hval if holomorphic_only else hval + 2 * completion_term(mu, tau)
-            total += fmu * theta_value(mu, tau, z)
-        return total
+        return _theta_decomposition(_mpc(tau), _mpc(z), cfg, completed=not holomorphic_only)
 
 
 # ---------------------------------------------------------------------------
 # Verification checks
 
 
-def _as_fn(expansion, cfg):
-    def fn(tau, z):
-        val, _ = eval_expansion(expansion, EvalPoint(tau, z), cfg)
-        return val
-
-    return fn
-
-
 def check_transformation_law(cfg: NumericConfig | None = None, points=DEFAULT_POINTS) -> dict:
     """| (E|T) - E - P | at the configured points."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        e21 = e21_expansion(cfg.qmax)
-        f = _as_fn(e21, cfg)
+        f = lambda tau, z: e21_value(tau, z, cfg)
         fT = slash(f, generator("T"), 2, 1)
         P = PeriodEvaluator(cfg)
         errs = []
@@ -502,8 +533,7 @@ def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dic
                         EvalPoint(complex(0, 1.2), complex(0.05, 0)))
     k = 2
     with mp.workdps(cfg.dps):
-        e21 = e21_expansion(cfg.qmax)
-        f = _as_fn(e21, cfg)
+        f = lambda tau, z: e21_value(tau, z, cfg)
 
         def f_V(tau, z):  # n^(k-1) sum_{ad=n, b mod d} d^(-k) f((a tau + b)/d, a z)
             tau, z = _mpc(tau), _mpc(z)
@@ -632,8 +662,6 @@ def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = 
     cfg = cfg or NumericConfig()
     k = 2
     with mp.workdps(cfg.dps):
-        # lattice terms shift z by X tau, so the zeta-direction tail decays
-        # slowly; a longer expansion keeps the estimated tail bound below tol
-        f = _as_fn(e21_expansion(max(cfg.qmax, 80 * n * n)), cfg)
+        f = lambda tau, z: e21_value(tau, z, cfg)
         acted = slash_formal_sum(f, hecke_hat(n), k, 1)
         return mp.mpf(n) ** (k - 4) * acted(point.tau, point.z)

@@ -134,6 +134,8 @@ def test_verify_numeric_beta_only(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["reports"][0]["status"] == "pass"
+    # the closed form runs at the configured 30 digits, not mpmath's default 15
+    assert data["reports"][0]["max_abs_error"] < 1e-25
 
 
 def test_output_file(tmp_path, capsys):

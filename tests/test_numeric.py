@@ -3,7 +3,15 @@ import pytest
 
 from jacobi_periods import numeric
 from jacobi_periods.errors import DomainError, PrecisionError
-from jacobi_periods.fourier import QSeries, apply_T_jacobi, e21_expansion, theta
+from jacobi_periods.fourier import (
+    QSeries,
+    apply_T_jacobi,
+    apply_V,
+    e21_expansion,
+    h_mu_series,
+    theta,
+    tj_needed_nmax,
+)
 from jacobi_periods.jacobi_group import JacobiGroupElement, generator
 from jacobi_periods.numeric import (
     DEFAULT_POINTS,
@@ -19,6 +27,7 @@ from jacobi_periods.numeric import (
     check_theorem1,
     check_tildeT_action,
     check_transformation_law,
+    e21_value,
     eichler_theta_integral,
     eval_expansion,
     hecke_slash_sum_value,
@@ -59,6 +68,37 @@ def test_eval_expansion_theta_cross_check():
             with mp.workdps(CFG.dps):
                 direct = theta_value(0, mp.mpc(pt.tau), mp.mpc(pt.z))
                 assert abs(val - direct) < max(float(err), 1e-20) + 1e-20
+
+
+def _term_by_term(f, pt):
+    """sum c e(n tau + r z) with one exponential per term at 40 digits, and
+    the sum of the terms' absolute values."""
+    with mp.workdps(40):
+        tau, z = mp.mpc(pt.tau), mp.mpc(pt.z)
+        terms = []
+        for key, c in f.coeffs.items():
+            n, r = key if isinstance(key, tuple) else (key, 0)
+            x = mp.mpf(n) / f.scale * tau + r * z
+            terms.append(mp.mpf(c.numerator) / c.denominator * mp.exp(2j * mp.pi * x))
+        return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+
+
+def test_eval_expansion_matches_term_by_term_sum():
+    # relative to the terms' absolute sum: theta_1(2i, 1/4) itself vanishes
+    series = (e21_expansion(30), apply_V(e21_expansion(30), 2), h_mu_series(1, 30),
+              theta(1, 10))
+    for f in series:
+        for pt in DEFAULT_POINTS:
+            val, _ = eval_expansion(f, pt, CFG)
+            direct, size = _term_by_term(f, pt)
+            assert abs(val - direct) < 1e-27 * size, (f, pt)
+
+
+def test_e21_value_matches_the_generic_evaluator():
+    e21 = e21_expansion(CFG.qmax)
+    for pt in DEFAULT_POINTS:
+        via_series, _ = eval_expansion(e21, pt, CFG)
+        assert abs(e21_value(pt.tau, pt.z, CFG) - via_series) < 1e-25, pt
 
 
 def test_eval_expansion_precision_error_reports_requirement():
@@ -161,6 +201,14 @@ def test_theorem1_small_levels():
         assert report["max_abs_error"] < 1e-5, (n, report)
 
 
+def test_theorem1_near_the_edge_of_the_z_strip():
+    # the E|V_3 side slashes E at z shifted by lattice multiples of tau;
+    # its series tail is no longer truncated in the zeta direction
+    point = EvalPoint(complex(0.387, 1.844), complex(0.456, -0.039))
+    report = check_theorem1(3, CFG, (point,))
+    assert report["max_abs_error"] < 1e-5, report
+
+
 def test_phi_invariance():
     report = check_phi_invariance(CFG)
     assert report["max_abs_error_T"] < 1e-6, report
@@ -175,3 +223,10 @@ def test_exact_hecke_matches_slash_sum():
         direct = hecke_slash_sum_value(2, pt, CFG)
         via_exact, _ = eval_expansion(exact, pt, CFG)
         assert abs(direct - via_exact) < 1e-6
+
+
+def test_exact_hecke_matches_slash_sum_p3():
+    exact = apply_T_jacobi(e21_expansion(tj_needed_nmax(3, 12)), 3)
+    pt = EvalPoint(1j, complex(0.1, 0.1))
+    via_exact, _ = eval_expansion(exact, pt, CFG)
+    assert abs(hecke_slash_sum_value(3, pt, CFG) - via_exact) < 1e-20
