@@ -23,6 +23,24 @@ Conventions fixed by computation rather than assumption:
   (E|T) - E = P, which holds at working precision with it and fails by that
   exact constant ratio without it.
 
+* P has two evaluators.  The completed function phi = -E/12 + R', with
+  R' = 2 sum_mu c_mu(tau) theta_mu(tau, z) and c_mu the erfc closed form
+  `completion_term`, is invariant under T (Zagier 1975), so
+
+      P = 12 (R'|T - R')
+
+  in closed form: `period_value`.  The transfer check and the
+  index-raising check (`check_tildeT_action`, `check_theorem1`) evaluate
+  P this way; they stay non-trivial, because the
+  first asks that R' be a Hecke eigenfunction modulo the ideal and the
+  second compares against E|V_n from `e21_value`.  `PeriodEvaluator` keeps
+  the quadrature of the integral above, some fifty times slower, as the
+  independent oracle of the checks that the closed form would make
+  tautologies: with it the transformation law reduces to phi|T = phi, the
+  four-term relation telescopes to R'|T^4 - R', and the extended relation
+  reduces to the lattice invariance of R'.  A test compares the two
+  evaluators at points from Im tau = 0.1 to 10.
+
 All evaluations are pure; sums over Hecke terms are reduced by a fixed
 pairwise tree so results are bit-stable for a given configuration.
 """
@@ -278,7 +296,7 @@ def beta_fn_quadrature(x, cfg: NumericConfig | None = None):
                        maxdegree=cfg.quad_nodes) / (16 * mp.pi)
 
 
-def completion_term(mu: int, tau, lmax=None):
+def completion_term(mu: int, tau):
     """v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v) q^(-l^2/4); the
     nonholomorphic completion component attached to the class numbers."""
     tau = _mpc(tau)
@@ -291,8 +309,6 @@ def completion_term(mu: int, tau, lmax=None):
         term = beta_fn(mp.pi * l * l * v) * _e(-l * l / mp.mpf(4) * tau)
         total += term if l == 0 else 2 * term  # +-l coincide at z = 0
         l += 2
-        if lmax and l > lmax:
-            break
     return total / mp.sqrt(v)
 
 
@@ -323,7 +339,11 @@ def _theta_line_value(mu: int, t):
 class PeriodEvaluator:
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
     component integrals along the ray (0, i inf); integral data is cached per
-    tau at the active precision."""
+    tau at the active precision.
+
+    This quadrature is independent of the completion, so it is the oracle of
+    the transformation law, the period relations, the extended relation and
+    of `period_value` itself."""
 
     def __init__(self, cfg: NumericConfig | None = None):
         self.cfg = cfg or NumericConfig()
@@ -407,19 +427,20 @@ def eichler_theta_integral(mu: int, tau, cfg: NumericConfig | None = None):
 # The completed weight-2 index-1 invariant function
 
 
-def _theta_decomposition(tau, z, cfg, completed):
-    """sum_mu F_mu(tau) theta_mu(tau, z) over mu in {0, 1}, with F_mu the
-    class-number component h_mu, plus twice its completion term when
-    `completed`.  h_mu is truncated where q^Q drops below 10^-(dps+3), and
-    never below cfg.qmax."""
+def _h_mu_value(mu: int, tau, cfg):
+    """The class-number component h_mu(tau), truncated where q^Q drops below
+    10^-(dps+3), and never below cfg.qmax."""
     v = mp.im(tau)
     qbound = max(cfg.qmax, int(mp.ceil((cfg.dps + 3) * mp.log(10) / (2 * mp.pi * v))))
+    return eval_expansion(h_mu_series(mu, qbound), EvalPoint(tau), cfg)[0]
+
+
+def _theta_decomposition(tau, z, component):
+    """sum_mu F_mu(tau) theta_mu(tau, z) over mu in {0, 1}, with F_mu =
+    component(mu)."""
     total = mp.mpc(0)
     for mu in (0, 1):
-        fmu, _ = eval_expansion(h_mu_series(mu, qbound), EvalPoint(tau), cfg)
-        if completed:
-            fmu += 2 * completion_term(mu, tau)
-        total += fmu * theta_value(mu, tau, z)
+        total += component(mu) * theta_value(mu, tau, z)
     return total
 
 
@@ -431,7 +452,8 @@ def e21_value(tau, z, cfg: NumericConfig | None = None):
     tail in the zeta direction."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        return -12 * _theta_decomposition(_mpc(tau), _mpc(z), cfg, completed=False)
+        tau, z = _mpc(tau), _mpc(z)
+        return -12 * _theta_decomposition(tau, z, lambda mu: _h_mu_value(mu, tau, cfg))
 
 
 def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
@@ -446,7 +468,38 @@ def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
     whose completion is twice the sum of the two printed component terms."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        return _theta_decomposition(_mpc(tau), _mpc(z), cfg, completed=not holomorphic_only)
+        tau, z = _mpc(tau), _mpc(z)
+
+        def component(mu):
+            h = _h_mu_value(mu, tau, cfg)
+            return h if holomorphic_only else h + 2 * completion_term(mu, tau)
+
+        return _theta_decomposition(tau, z, component)
+
+
+def _completion_value(tau, z):
+    """R'(tau, z) = 2 sum_mu c_mu(tau) theta_mu(tau, z), the nonholomorphic
+    part of the completed function, with c_mu = `completion_term`."""
+    return _theta_decomposition(tau, z, lambda mu: 2 * completion_term(mu, tau))
+
+
+# Extra digits for R' in `period_value`: P is the difference of two values
+# of R', and `beta_fn`'s closed form cancels for large arguments.
+_PERIOD_GUARD_DPS = 5
+
+
+def period_value(tau, z, cfg: NumericConfig | None = None):
+    """P(tau, z) = 12 (R'|T - R')(tau, z) in closed form.
+
+    The completed function phi = -E/12 + R' is invariant under T, so
+    E|T - E = 12 (R'|T - R'), and the transformation law E|T - E = P gives
+    P.  R' is evaluated with `_PERIOD_GUARD_DPS` extra digits; the value
+    agrees with the quadrature of `PeriodEvaluator` at working precision."""
+    cfg = cfg or NumericConfig()
+    with mp.workdps(cfg.dps + _PERIOD_GUARD_DPS):
+        tau, z = _mpc(tau), _mpc(z)
+        acted = slash(_completion_value, generator("T"), 2, 1)(tau, z)
+        return 12 * (acted - _completion_value(tau, z))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +554,18 @@ def period_relation_negative_control(cfg: NumericConfig | None = None) -> float:
 
 
 def check_tildeT_action(p: int = 2, cfg: NumericConfig | None = None, points=None) -> dict:
-    """Relative error of p^(-2) P|tilde(p) against (p+1) P at two points."""
+    """Relative error of p^(-2) P|tilde(p) against (p+1) P at two points.
+
+    P is the closed form `period_value` = 12 (R'|T - R'), so the check asks
+    that the completion R' be an eigenfunction of the transfer element
+    modulo the relation ideal.  It cannot see P's normalization (a scaled
+    completion passes); `period_value`'s comparison with `PeriodEvaluator`
+    pins that."""
     cfg = cfg or NumericConfig()
     points = points or (EvalPoint(complex(0, 1), complex(0.1, 0.1)),
                         EvalPoint(complex(0, 1.5), 0j))
     with mp.workdps(cfg.dps):
-        P = PeriodEvaluator(cfg)
+        P = lambda tau, z: period_value(tau, z, cfg)
         acted = slash_formal_sum(P, tilde_T(p), 2, 1)
         rel = []
         for pt in points:
@@ -527,7 +586,11 @@ def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dic
     slash carries the raised index; this reading is pinned numerically (the
     identity holds to working precision with it and fails by O(1) under the
     normalized-matrix or index-m readings).  At k = 2 the n^(k/2-1) prefactor
-    is 1, so the k-dependence of the outer power is not testable here."""
+    is 1, so the k-dependence of the outer power is not testable here.
+
+    The left side slashes E|V_n evaluated through `e21_value`; P on the
+    right is the closed form `period_value`, which reads none of E's
+    class-number coefficients."""
     cfg = cfg or NumericConfig()
     points = points or (EvalPoint(complex(0, 1), complex(0.1, 0)),
                         EvalPoint(complex(0, 1.2), complex(0.05, 0)))
@@ -547,10 +610,9 @@ def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dic
             return mp.mpf(n) ** (k - 1) * pairwise_sum(parts)
 
         fVT = slash(f_V, generator("T"), k, n)  # index m*n
-        P = PeriodEvaluator(cfg)
 
         def P_scaled(tau, z):
-            return P(tau, mp.sqrt(n) * z)
+            return period_value(tau, mp.sqrt(n) * z, cfg)
 
         rhs = slash_formal_sum(P_scaled, tilde_V(n), k, n)
         errs = []

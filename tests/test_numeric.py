@@ -33,6 +33,7 @@ from jacobi_periods.numeric import (
     hecke_slash_sum_value,
     pairwise_sum,
     period_relation_negative_control,
+    period_value,
     phi_value,
     slash,
     theta_value,
@@ -173,6 +174,36 @@ def test_period_evaluator_stability_and_periodicity():
     assert abs(P(1j, mp.mpc(0.1, 0.05)) - P(1j, mp.mpc(1.1, 0.05))) < 1e-12
 
 
+def test_period_value_matches_quadrature():
+    # the transfer check cannot see P's normalization, so this comparison
+    # with the independent quadrature pins it
+    P = PeriodEvaluator(CFG)
+    points = [(0.1j, complex(0.3, 0.05)), (complex(0.3, 0.2), complex(0.49, 0.1)),
+              (10j, complex(-0.48, 0.02)), (1j, complex(0.1, 0.2)),
+              (complex(-0.4, 1.3), complex(0.45, -0.15)), (complex(0.25, 0.5), -0.5),
+              (complex(0.1, 3.0), complex(0.2, 0.3)), (complex(-0.2, 0.15), 0.05j)]
+    for tau, z in points:
+        closed = period_value(tau, z, CFG)
+        with mp.workdps(CFG.dps):
+            quad = P(tau, z)
+            assert abs(closed - quad) < 1e-25 * abs(quad), (tau, z)
+
+
+def test_transfer_checks_see_the_completion(monkeypatch):
+    # keep only the leading l = mu term of each completion component: P is
+    # then no longer 12 (R'|T - R') of a T-invariant completion, and both
+    # checks built on the closed form must fail
+    def leading_term(mu, tau):
+        tau = mp.mpc(tau)
+        v = mp.im(tau)
+        term = beta_fn(mp.pi * mu * mu * v) * numeric._e(-mu * mu / mp.mpf(4) * tau)
+        return (term if mu == 0 else 2 * term) / mp.sqrt(v)
+
+    monkeypatch.setattr(numeric, "completion_term", leading_term)
+    assert check_tildeT_action(2, CFG)["max_rel_error"] > 1e-3
+    assert check_theorem1(2, CFG)["max_abs_error"] > 1e-4
+
+
 def test_transformation_law():
     report = check_transformation_law(CFG)
     assert report["max_abs_error"] < 1e-6, report
@@ -195,8 +226,13 @@ def test_tildeT_action_single_point():
     assert report["max_rel_error"] < 1e-4, report
 
 
+def test_tildeT_action_p3():
+    report = check_tildeT_action(3, CFG)
+    assert report["max_rel_error"] < 1e-4, report
+
+
 def test_theorem1_small_levels():
-    for n in (1, 2):
+    for n in (1, 2, 4, 5):
         report = check_theorem1(n, CFG)
         assert report["max_abs_error"] < 1e-5, (n, report)
 
