@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-import mpmath as mp
 
 from . import arith, fourier, group_ring, jacobi_group, numeric
 from .errors import DomainError, InvalidElementError, PrecisionError, ResourceLimitError
@@ -22,37 +19,26 @@ from .errors import DomainError, InvalidElementError, PrecisionError, ResourceLi
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if getattr(args, "output", None):
+def _write(text, args) -> None:
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload, args) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2), args)
 
 
 def _emit_csv(rows, header, args) -> None:
     lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args)
 
 
 def _config(args) -> numeric.NumericConfig:
-    env = os.environ.get("JACOBI_PERIODS_PRECISION", "")
-    try:
-        dps = int(env) if env else 0
-    except ValueError:
-        raise DomainError(f"JACOBI_PERIODS_PRECISION must be an integer, got {env!r}")
-    return numeric.NumericConfig(
-        qmax=getattr(args, "qmax", 48),
-        quad_nodes=getattr(args, "quad_nodes", 6),
-        tol=getattr(args, "tol", 1e-9),
-        dps=dps or getattr(args, "precision", 30),
-    )
+    return numeric.NumericConfig(qmax=args.qmax, quad_nodes=args.quad_nodes, tol=args.tol,
+                                 dps=args.precision)
 
 
 def cmd_classnum(args) -> int:
@@ -119,23 +105,20 @@ def _verify_report(name, passed, detail, args) -> int:
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def _beta_error(cfg) -> float:
-    """Largest gap between beta's closed form and its quadrature, both at
-    the configured precision."""
-    with mp.workdps(cfg.dps):
-        return float(max(abs(numeric.beta_fn(x) - numeric.beta_fn_quadrature(x, cfg))
-                         for x in (0.3, 1.0, 2.5)))
+def _given(value, default):
+    return default if value is None else value
 
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
     if args.suite == "thetadecomp":
-        ok = fourier.theta_decomposition_check(args.qbound or 20)
-        return _verify_report("theta_decomposition", ok, {"qbound": args.qbound or 20}, args)
+        qb = _given(args.qbound, 20)
+        ok = fourier.theta_decomposition_check(qb)
+        return _verify_report("theta_decomposition", ok, {"qbound": qb}, args)
 
     if args.suite == "eigen":
-        primes = [args.p] if args.p else [2, 3, 5]
-        qb = args.qbound or 15
+        primes = [2, 3, 5] if args.p is None else [args.p]
+        qb = _given(args.qbound, 15)
         detail, ok = {"qbound": qb, "primes": primes}, True
         for p in primes:
             need = fourier.tj_needed_nmax(p, qb - 1) + 1
@@ -147,9 +130,9 @@ def cmd_verify(args) -> int:
         return _verify_report("hecke_eigenvalue", ok, detail, args)
 
     if args.suite == "diagram":
-        qb = args.qbound or 12
+        qb = _given(args.qbound, 12)
         detail, ok = {"qbound": qb}, True
-        pairs = [(args.p, args.D)] if args.p and args.D else \
+        pairs = [(args.p, args.D)] if args.p is not None and args.D is not None else \
             [(p, D) for p in (2, 3) for D in (-3, -4)]
         for p, D in pairs:
             rep = fourier.diagram_check(p, D, qb, literal_weight2=args.literal_paper)
@@ -158,16 +141,16 @@ def cmd_verify(args) -> int:
         return _verify_report("lift_diagram", ok, detail, args)
 
     if args.suite == "groupring":
-        rep = group_ring.check_theorem_congruence(args.n or 2)
+        n = _given(args.n, 2)
+        rep = group_ring.check_theorem_congruence(n)
         return _verify_report("theorem_congruence", rep.pop("ok"),
-                              {"n": args.n or 2, **{k: bool(v) for k, v in rep.items()}}, args)
+                              {"n": n, **{k: bool(v) for k, v in rep.items()}}, args)
 
     if args.suite == "product":
-        rep = group_ring.check_product_formula(args.n or 2, args.np or 3, args.k or 2)
+        n, n2, k = _given(args.n, 2), _given(args.np, 3), _given(args.k, 2)
+        rep = group_ring.check_product_formula(n, n2, k)
         ok = rep.pop("ok")
-        return _verify_report("product_formula", ok,
-                              {"n": args.n or 2, "np": args.np or 3, "k": args.k or 2, **rep},
-                              args)
+        return _verify_report("product_formula", ok, {"n": n, "np": n2, "k": k, **rep}, args)
 
     if args.suite == "relations":
         if args.literal_paper:
@@ -183,38 +166,26 @@ def cmd_verify(args) -> int:
                               {k: bool(v) for k, v in rep.items()}, args)
 
     if args.suite == "theorem1":
-        levels = [args.n] if args.n else [2, 3]
-        detail, ok = {"tol": 1e-5}, True
-        for n in levels:
-            rep = numeric.check_theorem1(n, cfg)
-            detail[f"n{n}_max_abs_error"] = rep["max_abs_error"]
-            ok = ok and rep["max_abs_error"] < 1e-5
+        check = numeric.CHECKS["theorem1"]
+        detail, ok = {"tol": check.gate}, True
+        for n in [2, 3] if args.n is None else [args.n]:
+            rep = check.run(cfg, n)
+            detail[f"n{n}_max_abs_error"] = rep[check.key]
+            ok = ok and rep[check.key] < check.gate
         return _verify_report("index_raising_transfer", ok, detail, args)
 
-    # args.suite == "numeric"
-    checks = {
-        "translaw": lambda: (numeric.check_transformation_law(cfg), "max_abs_error", 1e-6),
-        "relations": lambda: (numeric.check_period_relations(cfg), "max_abs_error", 1e-6),
-        "transfer": lambda: (numeric.check_tildeT_action(args.p or 2, cfg), "max_rel_error", 1e-4),
-        "beta": lambda: ({"check": "beta", "max_abs_error": _beta_error(cfg)},
-                         "max_abs_error", 1e-10),
-        "eichler": lambda: ({"check": "eichler_integral", "max_abs_error": float(max(
-            abs(s - i) for mu in (0, 1)
-            for s, i in [numeric.eichler_theta_integral(mu, t, cfg) for t in (1j, 2j)]))},
-            "max_abs_error", 1e-8),
-        "phi": lambda: (numeric.check_phi_invariance(cfg), "max_abs_error", 1e-6),
-        "extended": lambda: (numeric.check_extended_relation_readings(cfg), "max_abs_error", 1e-6),
-        "cocycle": lambda: (numeric.check_cocycle(cfg), "max_abs_error", 1e-10),
-    }
-    selected = [args.check] if args.check else list(checks)
+    # args.suite == "numeric": every floating check but theorem1 (its own suite)
+    suite = [name for name in numeric.CHECKS if name != "theorem1"]
+    selected = [args.check] if args.check else suite
     reports, ok = [], True
     for name in selected:
-        if name not in checks:
+        if name not in suite:
             print(f"verify numeric: unknown check {name!r}", file=sys.stderr)
             return EXIT_USAGE
-        rep, key, tol = checks[name]()
-        passed = rep[key] < tol
-        rep.update({"tol": tol, "status": "pass" if passed else "fail"})
+        check = numeric.CHECKS[name]
+        rep = check.run(cfg, args.p)
+        passed = rep[check.key] < check.gate
+        rep.update({"tol": check.gate, "status": "pass" if passed else "fail"})
         reports.append(rep)
         ok = ok and passed
     _emit({"check": "numeric_suite", "reports": reports,
@@ -267,10 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--D", type=int)
     p.add_argument("--check", help="restrict the numeric suite to one check")
-    p.add_argument("--qmax", type=int, default=48)
-    p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--precision", type=int, default=30)
+    defaults = numeric.NumericConfig()
+    p.add_argument("--qmax", type=int, default=defaults.qmax)
+    p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=defaults.quad_nodes)
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--precision", type=int, default=defaults.dps)
     p.add_argument("--literal-paper", action="store_true",
                    help="demonstrate the documented source discrepancies")
     p.set_defaults(func=cmd_verify)

@@ -117,11 +117,7 @@ class JacobiExpansion:
         a, b = self.rescaled(lcm), other.rescaled(lcm)
         out = dict(a.coeffs)
         for key, c in b.coeffs.items():
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c
         return JacobiExpansion(self.weight, self.index, lcm, out,
                                min(self.qbound, other.qbound))
 
@@ -234,11 +230,7 @@ def theta_combination(h0: QSeries, h1: QSeries, weight=2, index=1) -> JacobiExpa
                 key = (ns + ts, r)
                 if Fraction(key[0], 4) >= bound:
                     continue
-                v = coeffs.get(key, Fraction(0)) - 12 * c * tcoef
-                if v:
-                    coeffs[key] = v
-                else:
-                    coeffs.pop(key, None)
+                coeffs[key] = coeffs.get(key, 0) - 12 * c * tcoef
     return JacobiExpansion(weight, index, 4, coeffs, bound)
 
 
@@ -285,16 +277,14 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
                 continue
             for r1, c in by_n.get(src // (a * a), ()):
                 key = (n, a * r1)
-                v = coeffs.get(key, Fraction(0)) + a ** (k - 1) * c
-                if v:
-                    coeffs[key] = v
-                else:
-                    coeffs.pop(key, None)
+                coeffs[key] = coeffs.get(key, 0) + a ** (k - 1) * c
     return JacobiExpansion(f.weight, f.index * ell, 1, coeffs, q_out)
 
 
 def tj_needed_nmax(n: int, N: int) -> int:
     """Largest input exponent a complete output coefficient at q^N can read."""
+    if N < 0:
+        raise DomainError(f"the output order must be >= 0, got {N}")
     return n * n * (N + isqrt(4 * N) * (n - 1) + (n - 1) ** 2)
 
 
@@ -356,11 +346,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                     N = na + rnd * x + x * x
                     if 0 <= N < q_out:
                         key = (N, rnd + 2 * x)
-                        v = coeffs.get(key, Fraction(0)) + w
-                        if v:
-                            coeffs[key] = v
-                        else:
-                            coeffs.pop(key, None)
+                        coeffs[key] = coeffs.get(key, 0) + w
     return JacobiExpansion(f.weight, 1, 1, coeffs, q_out)
 
 
@@ -369,6 +355,8 @@ def apply_T_half(h: QSeries, p: int) -> QSeries:
     N = 0, 3 mod 4: c'(N) = c(N p^2) + (-N/p) c(N) + p c(N/p^2)."""
     if h.scale != 1:
         raise DomainError("scale-1 series required")
+    if p < 1:
+        raise DomainError("p must be >= 1")
     for n in h.coeffs:
         if n % 4 in (1, 2):
             raise DomainError("support must lie in N = 0, 3 mod 4")
@@ -394,18 +382,16 @@ def apply_T_weight2(e: QSeries, p: int, literal: bool = False) -> QSeries:
     term p + p^(-2) visibly breaks the (p+1)-eigenvalue property."""
     if e.scale != 1:
         raise DomainError("scale-1 series required")
+    if p < 1:
+        raise DomainError("p must be >= 1")
     qb = int(e.qbound)
     q_out = (qb - 1) // p + 1 if qb >= 1 else 0
+    upper = Fraction(1, p * p) if literal else 1
     coeffs = {}
     for n in range(q_out):
-        if literal:
-            v = Fraction(1, p * p) * e.coeff(n * p)
-            if n % p == 0:
-                v += p * e.coeff(n // p)
-        else:
-            v = e.coeff(n * p)
-            if n % p == 0:
-                v += p * e.coeff(n // p)
+        v = upper * e.coeff(n * p)
+        if n % p == 0:
+            v += p * e.coeff(n // p)
         if v:
             coeffs[n] = v
     return QSeries(1, coeffs, q_out)

@@ -41,6 +41,10 @@ Conventions fixed by computation rather than assumption:
   reduces to the lattice invariance of R'.  A test compares the two
   evaluators at points from Im tau = 0.1 to 10.
 
+The floating checks of `verify numeric` and `verify theorem1` are listed
+once, in `CHECKS` (runner, report key, pass gate); the command line and the
+tests read the gates from there.
+
 All evaluations are pure; sums over Hecke terms are reduced by a fixed
 pairwise tree so results are bit-stable for a given configuration.
 """
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 
@@ -400,15 +405,7 @@ def eichler_theta_integral(mu: int, tau, cfg: NumericConfig | None = None):
         u, v = mp.re(tau), mp.im(tau)
         series_side = completion_term(mu, tau)
 
-        # the +-r terms coincide at z = 0, so just double nonzero r
-        def theta_ray(s):
-            t = mp.mpc(-u, v + s)
-            total = mp.mpc(0)
-            r = mu
-            while r * r * (v + s) / 2 < mp.mp.dps * 3 + 8:
-                total += (2 if r else 1) * _e(r * r / mp.mpf(4) * t)
-                r += 2
-            return total
+        theta_ray = lambda s: theta_value(mu, mp.mpc(-u, v + s), 0)
 
         p32 = mp.mpf(-1.5)
         if mu == 0:
@@ -717,6 +714,24 @@ def check_cocycle(cfg: NumericConfig | None = None, trials: int = 100, seed: int
         return {"check": "cocycle", "max_abs_error": float(worst), "trials": trials}
 
 
+def check_beta(cfg: NumericConfig | None = None, xs=(0.3, 1.0, 2.5)) -> dict:
+    """Largest gap between beta's closed form and its quadrature, both at the
+    configured precision."""
+    cfg = cfg or NumericConfig()
+    with mp.workdps(cfg.dps):
+        err = max(abs(beta_fn(x) - beta_fn_quadrature(x, cfg)) for x in xs)
+        return {"check": "beta", "max_abs_error": float(err)}
+
+
+def check_eichler_integral(cfg: NumericConfig | None = None,
+                           taus=(1j, 2j, complex(0.5, 1.3))) -> dict:
+    """Largest gap between the two sides of `eichler_theta_integral` over
+    mu in {0, 1} and the given tau."""
+    err = max(abs(series - integral) for mu in (0, 1) for tau in taus
+              for series, integral in [eichler_theta_integral(mu, tau, cfg)])
+    return {"check": "eichler_integral", "max_abs_error": float(err)}
+
+
 def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = None):
     """Direct evaluation of the index-preserving Hecke sum on the weight-2
     index-1 expansion: n^(k-4) times the slash of the series by `hecke_hat(n)`
@@ -727,3 +742,27 @@ def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = 
         f = lambda tau, z: e21_value(tau, z, cfg)
         acted = slash_formal_sum(f, hecke_hat(n), k, 1)
         return mp.mpf(n) ** (k - 4) * acted(point.tau, point.z)
+
+
+class Check(NamedTuple):
+    """`run(cfg, level)` returns the report, which passes when `report[key] <
+    gate`; `level` is the transfer check's prime (None: 2) and theorem1's n."""
+    run: Callable
+    key: str
+    gate: float
+
+
+# The floating checks of `verify numeric` (in suite order) and `verify theorem1`.
+CHECKS = {
+    "translaw": Check(lambda cfg, _: check_transformation_law(cfg), "max_abs_error", 1e-6),
+    "relations": Check(lambda cfg, _: check_period_relations(cfg), "max_abs_error", 1e-6),
+    "transfer": Check(lambda cfg, p: check_tildeT_action(2 if p is None else p, cfg),
+                      "max_rel_error", 1e-4),
+    "beta": Check(lambda cfg, _: check_beta(cfg), "max_abs_error", 1e-10),
+    "eichler": Check(lambda cfg, _: check_eichler_integral(cfg), "max_abs_error", 1e-8),
+    "phi": Check(lambda cfg, _: check_phi_invariance(cfg), "max_abs_error", 1e-6),
+    "extended": Check(lambda cfg, _: check_extended_relation_readings(cfg),
+                      "max_abs_error", 1e-6),
+    "cocycle": Check(lambda cfg, _: check_cocycle(cfg), "max_abs_error", 1e-10),
+    "theorem1": Check(lambda cfg, n: check_theorem1(n, cfg), "max_abs_error", 1e-5),
+}

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from jacobi_periods.cli import main
+from jacobi_periods.cli import _config, build_parser, main
+from jacobi_periods.numeric import NumericConfig
 
 
 def run_cli(capsys, *argv):
@@ -146,16 +148,52 @@ def test_output_file(tmp_path, capsys):
     assert [1, -24, 1] in data["terms"]
 
 
-def test_precision_env_var(monkeypatch):
-    import argparse
+def test_verify_options_reach_the_config():
+    parser = build_parser()
+    cfg = _config(parser.parse_args(["verify", "numeric", "--precision", "44", "--qmax", "12"]))
+    assert (cfg.dps, cfg.qmax) == (44, 12)
+    assert _config(parser.parse_args(["verify", "numeric"])) == NumericConfig()
 
-    from jacobi_periods.cli import _config
 
-    args = argparse.Namespace(qmax=10, quad_nodes=4, tol=1e-6, precision=25)
-    monkeypatch.setenv("JACOBI_PERIODS_PRECISION", "44")
-    assert _config(args).dps == 44
-    monkeypatch.delenv("JACOBI_PERIODS_PRECISION")
-    assert _config(args).dps == 25
-    monkeypatch.setenv("JACOBI_PERIODS_PRECISION", "lots")
-    code = main(["verify", "numeric", "--check", "beta"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "groupring", "--n", "0"),
+    ("verify", "eigen", "--p", "0", "--qbound", "3"),
+    ("verify", "eigen", "--qbound", "-1"),
+    ("verify", "theorem1", "--n", "0"),
+    ("verify", "diagram", "--p", "0", "--D", "-3"),
+    ("hecke", "thalf", "--p", "0"),
+    ("hecke", "t2", "--p", "0"),
+])
+def test_explicit_bad_levels_are_usage_errors(capsys, argv):
+    # an explicit 0 or negative value reaches the library, which rejects it
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# SHA-256 of the stdout of deterministic commands (no floating-point output)
+GOLDEN = {
+    "expand e21 --qbound 8":
+        "0c4a0a014263d8aa0a697064f2a7d089175232634a6ce4d5f98d9c68b57473cb",
+    "hecke tj --p 3 --qbound 10":
+        "db4227311e71df63658ac12547307700e59abe6ee3940125b94c7df5a4db844f",
+    "hecke t2 --p 2 --qbound 6 --literal-paper":
+        "08c85f3f6c4e4d2d263a7d9847b2309df8d8a5efd4f62fd14f0e3df878ec39a9",
+    "verify relations":
+        "ef943812c3c21197d25ee6b6907d72f3a9068a8d87f8244fc018d9b184342a9d",
+    "verify relations --literal-paper":
+        "073f3d0b43e07c03ac5af9ffca898812c1d44517f938027453f03c3cb561fe70",
+    "verify groupring --n 3":
+        "65b16c3c7ca369f223b7e65b5b2dca615a21d5d6323fe3b5e911217e9e9ae1b7",
+    "verify product --n 2 --np 3 --k 2":
+        "f2073231e4c59900549dcb4966fb7c6c311c4990c32bd839a404758a71803708",
+    "classnum --max 100 --format csv":
+        "42bdbdcc6e4517b302a6ce017dd9d4b294da6f137e51f220820dd17d6e9b87c9",
+}
+
+
+def test_deterministic_outputs_are_unchanged(capsys):
+    for command, digest in GOLDEN.items():
+        _, out, _ = run_cli(capsys, *command.split())
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

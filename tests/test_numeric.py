@@ -14,6 +14,7 @@ from jacobi_periods.fourier import (
 )
 from jacobi_periods.jacobi_group import JacobiGroupElement, generator
 from jacobi_periods.numeric import (
+    CHECKS,
     DEFAULT_POINTS,
     EvalPoint,
     NumericConfig,
@@ -127,7 +128,7 @@ def test_slash_identity_and_z_translation():
 
 def test_cocycle_identity():
     report = check_cocycle(CFG, trials=100)
-    assert report["max_abs_error"] < 1e-10, report
+    assert report["max_abs_error"] < CHECKS["cocycle"].gate, report
 
 
 def test_cocycle_check_sees_the_slash_factor(monkeypatch):
@@ -149,7 +150,7 @@ def test_beta_closed_form_vs_quadrature():
     with mp.workdps(30):
         assert abs(beta_fn(0) - 1 / (8 * mp.pi)) < 1e-25
         for x in (0.3, 1.0, 2.5):
-            assert abs(beta_fn(x) - beta_fn_quadrature(x, CFG)) < 1e-10
+            assert abs(beta_fn(x) - beta_fn_quadrature(x, CFG)) < CHECKS["beta"].gate
         grid = [beta_fn(x / 2) for x in range(11)]
         assert all(a > b for a, b in zip(grid, grid[1:]))
     with pytest.raises(DomainError):
@@ -160,7 +161,7 @@ def test_eichler_integral_identity():
     for mu in (0, 1):
         for tau in (1j, 2j, mp.mpc(0.5, 1.3)):
             series, integral = eichler_theta_integral(mu, tau, CFG)
-            assert abs(series - integral) < 1e-8, (mu, tau)
+            assert abs(series - integral) < CHECKS["eichler"].gate, (mu, tau)
 
 
 def test_period_evaluator_stability_and_periodicity():
@@ -206,35 +207,35 @@ def test_transfer_checks_see_the_completion(monkeypatch):
 
 def test_transformation_law():
     report = check_transformation_law(CFG)
-    assert report["max_abs_error"] < 1e-6, report
+    assert report["max_abs_error"] < CHECKS["translaw"].gate, report
 
 
 def test_period_relations():
     report = check_period_relations(CFG)
-    assert report["max_abs_error"] < 1e-6, report
+    assert report["max_abs_error"] < CHECKS["relations"].gate, report
     assert period_relation_negative_control(CFG) > 1e-3
 
 
 def test_extended_relation_both_readings():
     report = check_extended_relation_readings(CFG)
-    assert report["max_abs_error_minus_I_shift"] < 1e-6
-    assert report["max_abs_error_I2"] < 1e-6
+    assert report["max_abs_error_minus_I_shift"] < CHECKS["extended"].gate
+    assert report["max_abs_error_I2"] < CHECKS["extended"].gate
 
 
 def test_tildeT_action_single_point():
     report = check_tildeT_action(2, CFG, points=(EvalPoint(1j, complex(0.1, 0.1)),))
-    assert report["max_rel_error"] < 1e-4, report
+    assert report["max_rel_error"] < CHECKS["transfer"].gate, report
 
 
 def test_tildeT_action_p3():
     report = check_tildeT_action(3, CFG)
-    assert report["max_rel_error"] < 1e-4, report
+    assert report["max_rel_error"] < CHECKS["transfer"].gate, report
 
 
 def test_theorem1_small_levels():
     for n in (1, 2, 4, 5):
         report = check_theorem1(n, CFG)
-        assert report["max_abs_error"] < 1e-5, (n, report)
+        assert report["max_abs_error"] < CHECKS["theorem1"].gate, (n, report)
 
 
 def test_theorem1_near_the_edge_of_the_z_strip():
@@ -242,12 +243,12 @@ def test_theorem1_near_the_edge_of_the_z_strip():
     # its series tail is no longer truncated in the zeta direction
     point = EvalPoint(complex(0.387, 1.844), complex(0.456, -0.039))
     report = check_theorem1(3, CFG, (point,))
-    assert report["max_abs_error"] < 1e-5, report
+    assert report["max_abs_error"] < CHECKS["theorem1"].gate, report
 
 
 def test_phi_invariance():
     report = check_phi_invariance(CFG)
-    assert report["max_abs_error_T"] < 1e-6, report
+    assert report["max_abs_error_T"] < CHECKS["phi"].gate, report
     assert report["max_abs_error_S"] < 1e-8
     assert report["max_abs_error_I1"] < 1e-8
     assert report["holomorphic_only_T_defect"] > 1e-3
