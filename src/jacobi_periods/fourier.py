@@ -22,6 +22,14 @@ def _num(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _bound(qbound) -> Fraction:
+    """A truncation bound as a Fraction; a negative one is rejected."""
+    qbound = _num(qbound)
+    if qbound < 0:
+        raise DomainError(f"qbound must be >= 0, got {qbound}")
+    return qbound
+
+
 def _equal_below(f, g, bound, exponent) -> bool:
     """Coefficientwise equality of two expansions of one type below q^bound;
     `exponent` reads the scaled q-exponent from a coefficient key."""
@@ -152,7 +160,7 @@ def theta(mu: int, qbound) -> JacobiExpansion:
     """Index-one theta component: sum over r = mu mod 2 of q^(r^2/4) zeta^r."""
     if mu not in (0, 1):
         raise DomainError("mu must be 0 or 1")
-    qbound = _num(qbound)
+    qbound = _bound(qbound)
     coeffs = {}
     r = mu
     while Fraction(r * r, 4) < qbound:
@@ -167,7 +175,7 @@ def h_mu_series(mu: int, qbound) -> QSeries:
     """Class-number component series sum H(N) q^(N/4) over N = -mu^2 mod 4."""
     if mu not in (0, 1):
         raise DomainError("mu must be 0 or 1")
-    qbound = _num(qbound)
+    qbound = _bound(qbound)
     res = 0 if mu == 0 else 3
     coeffs = {}
     n = res if res else 0
@@ -181,7 +189,7 @@ def h_mu_series(mu: int, qbound) -> QSeries:
 
 def h32_series(qbound) -> QSeries:
     """sum_{N >= 0} H(N) q^N; equals the two component series in 4*tau."""
-    qbound = _num(qbound)
+    qbound = _bound(qbound)
     coeffs = {}
     n = 0
     while n < qbound:
@@ -194,7 +202,7 @@ def h32_series(qbound) -> QSeries:
 
 def e2_series(qbound) -> QSeries:
     """Weight-2 Eisenstein series 1 - 24 sum sigma_1(n) q^n."""
-    qbound = _num(qbound)
+    qbound = _bound(qbound)
     coeffs = {0: Fraction(1)}
     n = 1
     while n < qbound:
@@ -205,7 +213,7 @@ def e2_series(qbound) -> QSeries:
 
 def e21_expansion(qbound) -> JacobiExpansion:
     """Weight-2 index-1 Eisenstein-type expansion -12 sum H(4n - r^2) q^n zeta^r."""
-    qbound = _num(qbound)
+    qbound = _bound(qbound)
     coeffs = {}
     n = 0
     while n < qbound:
@@ -238,6 +246,8 @@ def theta_decomposition_check(qbound) -> bool:
     """Coefficient-wise identity between the class-number expansion and its
     theta decomposition, below qbound."""
     qbound = _num(qbound)
+    if qbound < 1:
+        raise DomainError("qbound must be >= 1")
     combo = theta_combination(h_mu_series(0, qbound), h_mu_series(1, qbound))
     return e21_expansion(qbound).equal_below(combo, qbound)
 

@@ -34,12 +34,14 @@ Conventions fixed by computation rather than assumption:
   P this way; they stay non-trivial, because the
   first asks that R' be a Hecke eigenfunction modulo the ideal and the
   second compares against E|V_n from `e21_value`.  `PeriodEvaluator` keeps
-  the quadrature of the integral above, some fifty times slower, as the
-  independent oracle of the checks that the closed form would make
-  tautologies: with it the transformation law reduces to phi|T = phi, the
-  four-term relation telescopes to R'|T^4 - R', and the extended relation
-  reduces to the lattice invariance of R'.  A test compares the two
-  evaluators at points from Im tau = 0.1 to 10.
+  the quadrature of the integral above as the independent oracle of the
+  checks that the closed form would make tautologies; it is about fifty
+  times slower than the closed form at an evaluator's first tau and ten
+  times at each further tau, which reuses the ray theta factors.  With
+  the closed form the transformation law would reduce to phi|T = phi, the
+  four-term relation would telescope to R'|T^4 - R', and the extended
+  relation would reduce to the lattice invariance of R'.  A test compares
+  the two evaluators at points from Im tau = 0.1 to 10.
 
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
@@ -343,8 +345,11 @@ def _theta_line_value(mu: int, t):
 
 class PeriodEvaluator:
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
-    component integrals along the ray (0, i inf); integral data is cached per
-    tau at the active precision.
+    component integrals along the ray (0, i inf).  Integral values are cached
+    per tau at the active precision, and the ray theta factors, which do not
+    depend on tau, per quadrature node: `mp.quad` reuses its tanh-sinh nodes,
+    so a new tau recomputes only the powers (tau + i t)^(-3/2).  Both caches
+    live with the instance.
 
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
@@ -353,6 +358,17 @@ class PeriodEvaluator:
     def __init__(self, cfg: NumericConfig | None = None):
         self.cfg = cfg or NumericConfig()
         self._cache: dict = {}
+        self._ray: dict = {}
+
+    def _ray_factor(self, fn, mu: int, node, arg):
+        """fn(mu, arg) for the quadrature node `node` that determines arg,
+        memoized per (fn, mu, precision) and node; values are stored as raw
+        mpf tuples, bit-identical to a fresh evaluation."""
+        memo = self._ray.setdefault((fn, mu, mp.mp.prec), {})
+        value = memo.get(node._mpf_)
+        if value is None:
+            value = memo[node._mpf_] = fn(mu, arg)._mpf_
+        return mp.make_mpf(value)
 
     def component_integral(self, mu: int, tau):
         """int_0^{i inf} (tau + w)^(-3/2) theta_mu(w, 0) dw, split at w = i
@@ -364,21 +380,22 @@ class PeriodEvaluator:
             return self._cache[key]
         p32 = mp.mpf(-1.5)
 
-        def theta_rest(t):  # theta - its limit 1, exponentially small for t >= 1
-            return _theta_line_value(0, t) - 1
+        def theta_line(t):
+            return self._ray_factor(_theta_line_value, mu, t, t)
 
-        if mu == 0:
+        if mu == 0:  # theta - its limit 1, exponentially small for t >= 1
             upper = 2 / mp.sqrt(tau + 1j) + 1j * mp.quad(
-                lambda t: (tau + 1j * t) ** p32 * theta_rest(t), [1, mp.inf],
+                lambda t: (tau + 1j * t) ** p32 * (theta_line(t) - 1), [1, mp.inf],
                 maxdegree=cfg.quad_nodes)
         else:
             upper = 1j * mp.quad(
-                lambda t: (tau + 1j * t) ** p32 * _theta_line_value(1, t), [1, mp.inf],
+                lambda t: (tau + 1j * t) ** p32 * theta_line(t), [1, mp.inf],
                 maxdegree=cfg.quad_nodes)
         # lower piece via t = u^2 and the inverted theta sum: the integrand
         # (tau + i u^2)^(-3/2) (2 u^2)^(1/2) theta_mu(i u^2, 0) is smooth on [0, 1]
         lower = 1j * mp.sqrt(2) * mp.quad(
-            lambda u: (tau + 1j * u * u) ** p32 * _inverted_theta_sum(mu, u * u)
+            lambda u: (tau + 1j * u * u) ** p32
+            * self._ray_factor(_inverted_theta_sum, mu, u, u * u)
             if u > 0 else tau**p32,
             [0, 1], maxdegree=cfg.quad_nodes)
         val = upper + lower

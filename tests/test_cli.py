@@ -163,6 +163,8 @@ def test_verify_options_reach_the_config():
     ("verify", "diagram", "--p", "0", "--D", "-3"),
     ("hecke", "thalf", "--p", "0"),
     ("hecke", "t2", "--p", "0"),
+    ("verify", "thetadecomp", "--qbound", "0"),
+    ("expand", "e21", "--qbound", "-3"),
 ])
 def test_explicit_bad_levels_are_usage_errors(capsys, argv):
     # an explicit 0 or negative value reaches the library, which rejects it

@@ -175,6 +175,42 @@ def test_period_evaluator_stability_and_periodicity():
     assert abs(P(1j, mp.mpc(0.1, 0.05)) - P(1j, mp.mpc(1.1, 0.05))) < 1e-12
 
 
+def test_period_evaluator_reuses_the_ray_factors(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(mu, t):
+            calls.append(fn.__name__)
+            return fn(mu, t)
+        return wrapped
+
+    monkeypatch.setattr(numeric, "_theta_line_value", counting(numeric._theta_line_value))
+    monkeypatch.setattr(numeric, "_inverted_theta_sum", counting(numeric._inverted_theta_sum))
+    P = PeriodEvaluator(CFG)
+    first, second = DEFAULT_POINTS[:2]
+    P(first.tau, first.z)
+    assert {"_theta_line_value", "_inverted_theta_sum"} <= set(calls)
+    seen = len(calls)
+    # the second tau needs no quadrature degree beyond the first's, so every
+    # theta factor it reads is already memoized
+    P(second.tau, second.z)
+    assert len(calls) == seen
+
+
+def test_ray_factor_memo_keeps_values_exact():
+    warm = PeriodEvaluator(CFG)
+    warm(0.1j, complex(0.3, 0.05))
+    for pt in DEFAULT_POINTS:
+        assert warm(pt.tau, pt.z) == PeriodEvaluator(CFG)(pt.tau, pt.z), pt
+    # the memo is keyed by precision: a value computed at 30 digits is never
+    # read back at 45
+    tau = mp.mpc(0.2, 0.7)
+    with mp.workdps(30):
+        warm.component_integral(1, tau)
+    with mp.workdps(45):
+        assert warm.component_integral(1, tau) == PeriodEvaluator(CFG).component_integral(1, tau)
+
+
 def test_period_value_matches_quadrature():
     # the transfer check cannot see P's normalization, so this comparison
     # with the independent quadrature pins it
