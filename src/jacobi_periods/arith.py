@@ -24,32 +24,33 @@ def _extend_class_numbers(nmax: int) -> None:
 
     A form with 0 < b < a < c is counted twice (both signs of b are reduced).
     Forms equivalent to a(x^2+y^2) weigh 1/2, to a(x^2+xy+y^2) weigh 1/3.
+    Weights are counted in integer sixths: for fixed (a, b) the forms with
+    c > a have N = 4ac - b^2 in an arithmetic progression of step 4a, so each
+    such row is one pass over a slice of the count list.
     """
     global _hurwitz_cache_max
     if nmax <= _hurwitz_cache_max:
         return
-    counts: dict[int, Fraction] = {}
+    sixths = [0] * (nmax + 1)
     a = 1
     while 3 * a * a <= nmax:
         for b in range(a + 1):
-            c = a
-            while True:
-                n = 4 * a * c - b * b
-                if n > nmax:
-                    break
-                if b == 0 and a == c:
-                    w = Fraction(1, 2)
-                elif a == b == c:
-                    w = Fraction(1, 3)
-                else:
-                    w = Fraction(2) if 0 < b < a < c else Fraction(1)
-                counts[n] = counts.get(n, Fraction(0)) + w
-                c += 1
+            n = 4 * a * a - b * b  # c = a
+            if n > nmax:
+                continue
+            sixths[n] += 3 if b == 0 else 2 if b == a else 6
+            row = slice(n + 4 * a, nmax + 1, 4 * a)  # c = a+1, a+2, ...
+            w = 12 if 0 < b < a else 6
+            sixths[row] = [s + w for s in sixths[row]]
         a += 1
+    shared: dict[int, Fraction] = {}  # one Fraction per distinct count
     for n in range(_hurwitz_cache_max + 1, nmax + 1):
         if n % 4 in (1, 2):
             continue
-        _hurwitz_cache[n] = counts.get(n, Fraction(0))
+        s = sixths[n]
+        if s not in shared:
+            shared[s] = Fraction(s, 6)
+        _hurwitz_cache[n] = shared[s]
     _hurwitz_cache_max = nmax
 
 

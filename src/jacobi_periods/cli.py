@@ -70,7 +70,15 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _require_qbound(args) -> None:
+    """Reject a negative --qbound up front, naming the value given: the
+    builders see only bounds derived from it."""
+    if args.qbound < 0:
+        raise DomainError(f"qbound must be >= 0, got {args.qbound}")
+
+
 def cmd_hecke(args) -> int:
+    _require_qbound(args)
     if args.operator == "v":
         out = fourier.apply_V(fourier.e21_expansion(args.qbound * args.n + 1), args.n)
     elif args.operator == "tj":
@@ -86,6 +94,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    _require_qbound(args)
     if args.lift == "phi":
         if args.D is None:
             print("lift phi: --D is required", file=sys.stderr)

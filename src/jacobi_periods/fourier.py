@@ -3,16 +3,17 @@ one-variable q-series attached to them, with the Hecke actions on
 coefficients.
 
 Exponents are stored scaled by a positive integer (``n_scaled = scale * n``),
-coefficients are exact rationals, and every operation records the largest
-truncation bound ``qbound`` for which its output is provably complete given
-the completeness of its inputs.
+coefficients are exact: an integral one is held as an ``int``, any other as a
+``Fraction`` (both have ``numerator`` and ``denominator``).  Every operation
+records the largest truncation bound ``qbound`` for which its output is
+provably complete given the completeness of its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 
 from .arith import divisors, hurwitz, is_fundamental_discriminant, kronecker, l_zero_chi, moebius, sigma
 from .errors import DomainError
@@ -20,6 +21,14 @@ from .errors import DomainError
 
 def _num(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _exact(c) -> int | Fraction:
+    """An exact coefficient: an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = _num(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _bound(qbound) -> Fraction:
@@ -30,50 +39,65 @@ def _bound(qbound) -> Fraction:
     return qbound
 
 
-def _equal_below(f, g, bound, exponent) -> bool:
-    """Coefficientwise equality of two expansions of one type below q^bound;
-    `exponent` reads the scaled q-exponent from a coefficient key."""
-    bound = _num(bound)
-    if bound > min(f.qbound, g.qbound):
-        raise DomainError("comparison bound exceeds a completeness bound")
-    lcm = f.scale // gcd(f.scale, g.scale) * g.scale
-    a, b = f.rescaled(lcm), g.rescaled(lcm)
-    for key in set(a.coeffs) | set(b.coeffs):
-        if Fraction(exponent(key), lcm) < bound and a.coeffs.get(key, 0) != b.coeffs.get(key, 0):
-            return False
-    return True
+class _Expansion:
+    """The methods both expansion types share.  A subclass states how its
+    keys carry the scaled q-exponent: `_exponent(key)` reads it and
+    `_rekey(key, m)` multiplies it by m."""
+
+    def rescaled(self, new_scale: int):
+        if new_scale % self.scale:
+            raise DomainError("new scale must be a multiple of the old one")
+        m = new_scale // self.scale
+        return replace(self, scale=new_scale,
+                       coeffs={self._rekey(key, m): c for key, c in self.coeffs.items()})
+
+    def _common_scale(self, other):
+        """self and other over the lcm of their scales; one already over it is
+        not copied."""
+        lcm = self.scale // gcd(self.scale, other.scale) * other.scale
+        return tuple(h if h.scale == lcm else h.rescaled(lcm) for h in (self, other))
+
+    def __eq__(self, other):
+        """Equality of every field, with the terms compared over a common scale."""
+        if type(self) is not type(other):
+            return NotImplemented
+        a, b = self._common_scale(other)
+        return vars(a) == vars(b)
+
+    def _equal_below(self, other, bound) -> bool:
+        """Coefficientwise equality below q^bound."""
+        bound = _num(bound)
+        if bound > min(self.qbound, other.qbound):
+            raise DomainError("comparison bound exceeds a completeness bound")
+        a, b = self._common_scale(other)
+        top = ceil(bound * a.scale)  # exponent/scale < bound iff exponent < top
+
+        def below(h):
+            return {key: c for key, c in h.coeffs.items() if h._exponent(key) < top}
+
+        return below(a) == below(b)
 
 
-@dataclass
-class QSeries:
+@dataclass(eq=False)
+class QSeries(_Expansion):
     """Truncated one-variable q-series with rational exponents n_scaled/scale."""
 
     scale: int
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
+    coeffs: dict[int, int | Fraction] = field(default_factory=dict)
     qbound: Fraction = Fraction(0)
+
+    _exponent = staticmethod(lambda n: n)
+    _rekey = staticmethod(lambda n, m: n * m)
 
     def __post_init__(self):
         self.qbound = _num(self.qbound)
-        self.coeffs = {n: _num(c) for n, c in self.coeffs.items() if c}
+        self.coeffs = {n: _exact(c) for n, c in self.coeffs.items() if c}
 
-    def coeff(self, n_scaled: int) -> Fraction:
-        return self.coeffs.get(n_scaled, Fraction(0))
-
-    def rescaled(self, new_scale: int) -> "QSeries":
-        if new_scale % self.scale:
-            raise DomainError("new scale must be a multiple of the old one")
-        f = new_scale // self.scale
-        return QSeries(new_scale, {n * f: c for n, c in self.coeffs.items()}, self.qbound)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        s = gcd(self.scale, other.scale)
-        lcm = self.scale // s * other.scale
-        return self.rescaled(lcm).coeffs == other.rescaled(lcm).coeffs
+    def coeff(self, n_scaled: int) -> int | Fraction:
+        return self.coeffs.get(n_scaled, 0)
 
     def equal_below(self, other: "QSeries", bound) -> bool:
-        return _equal_below(self, other, bound, lambda n: n)
+        return self._equal_below(other, bound)
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,59 +107,53 @@ class QSeries:
         }
 
 
-@dataclass
-class JacobiExpansion:
+@dataclass(eq=False)
+class JacobiExpansion(_Expansion):
     """Truncated two-variable expansion sum c(n, r) q^n zeta^r with
     n = n_scaled/scale; complete for n < qbound."""
 
     weight: Fraction
     index: Fraction
     scale: int
-    coeffs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    coeffs: dict[tuple[int, int], int | Fraction] = field(default_factory=dict)
     qbound: Fraction = Fraction(0)
+
+    _exponent = staticmethod(lambda key: key[0])
+    _rekey = staticmethod(lambda key, m: (key[0] * m, key[1]))
 
     def __post_init__(self):
         self.weight = _num(self.weight)
         self.index = _num(self.index)
         self.qbound = _num(self.qbound)
-        self.coeffs = {k: _num(c) for k, c in self.coeffs.items() if c}
+        self.coeffs = {k: _exact(c) for k, c in self.coeffs.items() if c}
 
-    def coeff(self, n_scaled: int, r: int) -> Fraction:
-        return self.coeffs.get((n_scaled, r), Fraction(0))
+    def coeff(self, n_scaled: int, r: int) -> int | Fraction:
+        return self.coeffs.get((n_scaled, r), 0)
 
     def scaled_by(self, k) -> "JacobiExpansion":
-        k = _num(k)
-        return JacobiExpansion(self.weight, self.index, self.scale,
-                               {key: k * c for key, c in self.coeffs.items()} if k else {},
-                               self.qbound)
-
-    def rescaled(self, new_scale: int) -> "JacobiExpansion":
-        if new_scale % self.scale:
-            raise DomainError("new scale must be a multiple of the old one")
-        f = new_scale // self.scale
-        return JacobiExpansion(self.weight, self.index, new_scale,
-                               {(n * f, r): c for (n, r), c in self.coeffs.items()},
-                               self.qbound)
+        k = _exact(k)
+        return replace(self, coeffs={key: k * c for key, c in self.coeffs.items()} if k else {})
 
     def __add__(self, other: "JacobiExpansion") -> "JacobiExpansion":
         if self.weight != other.weight or self.index != other.index:
             raise DomainError("weights and indices must match")
-        s = gcd(self.scale, other.scale)
-        lcm = self.scale // s * other.scale
-        a, b = self.rescaled(lcm), other.rescaled(lcm)
+        a, b = self._common_scale(other)
         out = dict(a.coeffs)
         for key, c in b.coeffs.items():
             out[key] = out.get(key, 0) + c
-        return JacobiExpansion(self.weight, self.index, lcm, out,
+        return JacobiExpansion(self.weight, self.index, a.scale, out,
                                min(self.qbound, other.qbound))
 
     def equal_below(self, other: "JacobiExpansion", bound) -> bool:
-        return _equal_below(self, other, bound, lambda key: key[0])
+        return self._equal_below(other, bound)
 
     def min_discriminant(self) -> Fraction | None:
-        """min over stored terms of 4*index*n - r^2, None when empty."""
-        vals = [4 * self.index * Fraction(n, self.scale) - r * r for (n, r) in self.coeffs]
-        return min(vals) if vals else None
+        """min over stored terms of 4*index*n - r^2, None when empty; taken
+        in integers over the common denominator index.denominator * scale."""
+        if not self.coeffs:
+            return None
+        p, q = self.index.numerator, self.index.denominator * self.scale
+        return Fraction(min(4 * p * n - q * r * r for n, r in self.coeffs), q)
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,9 +182,9 @@ def theta(mu: int, qbound) -> JacobiExpansion:
     coeffs = {}
     r = mu
     while Fraction(r * r, 4) < qbound:
-        coeffs[(r * r, r)] = Fraction(1)
+        coeffs[(r * r, r)] = 1
         if r:
-            coeffs[(r * r, -r)] = Fraction(1)
+            coeffs[(r * r, -r)] = 1
         r += 2
     return JacobiExpansion(Fraction(1, 2), 1, 4, coeffs, qbound)
 
@@ -203,25 +221,25 @@ def h32_series(qbound) -> QSeries:
 def e2_series(qbound) -> QSeries:
     """Weight-2 Eisenstein series 1 - 24 sum sigma_1(n) q^n."""
     qbound = _bound(qbound)
-    coeffs = {0: Fraction(1)}
+    coeffs = {0: 1}
     n = 1
     while n < qbound:
-        coeffs[n] = Fraction(-24 * sigma(n, 1))
+        coeffs[n] = -24 * sigma(n, 1)
         n += 1
     return QSeries(1, coeffs, qbound)
 
 
 def e21_expansion(qbound) -> JacobiExpansion:
-    """Weight-2 index-1 Eisenstein-type expansion -12 sum H(4n - r^2) q^n zeta^r."""
-    qbound = _bound(qbound)
+    """Weight-2 index-1 Eisenstein-type expansion -12 sum H(4n - r^2) q^n zeta^r.
+
+    Every coefficient is an integer (H(0) = -1/12 and H(N) lies in Z/6 for
+    N > 0), so each -12 H(N) is taken once per N with integer operations."""
+    nmax = ceil(_bound(qbound))  # the orders n < qbound
+    twelve = [-12 * h.numerator // h.denominator for h in map(hurwitz, range(4 * nmax - 3))]
     coeffs = {}
-    n = 0
-    while n < qbound:
+    for n in range(nmax):
         for r in range(-isqrt(4 * n), isqrt(4 * n) + 1):
-            c = -12 * hurwitz(4 * n - r * r)
-            if c:
-                coeffs[(n, r)] = c
-        n += 1
+            coeffs[(n, r)] = twelve[4 * n - r * r]
     return JacobiExpansion(2, 1, 1, coeffs, qbound)
 
 
@@ -230,15 +248,16 @@ def theta_combination(h0: QSeries, h1: QSeries, weight=2, index=1) -> JacobiExpa
     if h0.scale != 4 or h1.scale != 4:
         raise DomainError("component series must have scale 4")
     bound = min(h0.qbound, h1.qbound)
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    coeffs: dict[tuple[int, int], int | Fraction] = {}
     for h, mu in ((h0, 0), (h1, 1)):
         th = theta(mu, bound)
         for ns, c in h.coeffs.items():
+            w = -12 * c
             for (ts, r), tcoef in th.coeffs.items():
                 key = (ns + ts, r)
                 if Fraction(key[0], 4) >= bound:
                     continue
-                coeffs[key] = coeffs.get(key, 0) - 12 * c * tcoef
+                coeffs[key] = coeffs.get(key, 0) + w * tcoef
     return JacobiExpansion(weight, index, 4, coeffs, bound)
 
 
@@ -279,15 +298,16 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
         by_n.setdefault(n, []).append((r, c))
     qb = int(f.qbound) if f.qbound == int(f.qbound) else int(f.qbound) + 1
     q_out = (qb - 1) // ell + 1 if qb >= 1 else 0
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    coeffs: dict[tuple[int, int], int | Fraction] = {}
     for n in range(q_out):
         for a in divisors(ell if n == 0 else gcd(n, ell)):
             src = n * ell
             if src % (a * a):
                 continue
+            w = a ** (k - 1) if k >= 1 else Fraction(1, a ** (1 - k))
             for r1, c in by_n.get(src // (a * a), ()):
                 key = (n, a * r1)
-                coeffs[key] = coeffs.get(key, 0) + a ** (k - 1) * c
+                coeffs[key] = coeffs.get(key, 0) + w * c
     return JacobiExpansion(f.weight, f.index * ell, 1, coeffs, q_out)
 
 
@@ -306,6 +326,11 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     gcd(a, b, d) collapses, via divisors e^2 | gcd(a, d) and a Moebius sieve,
     to integer multiples of divisibility indicators; the lattice sums force
     d | r*n and contribute a factor n.  No irrational intermediary appears.
+
+    Each term of the factorization a*d = n^2 weighs n^(k-4) (n/d)^k n, which
+    is a^k / n^3.  The sums accumulate the integer a^k kappa c (for k < 0 the
+    integer d^(-k) over n^(3-2k) instead) and divide by the power of n once
+    per output key, so integral coefficients stay ints at every weight.
     """
     _require_integral(f, "apply_T_jacobi")
     if f.index != 1:
@@ -322,12 +347,12 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     q_out = 0
     while tj_needed_nmax(n, q_out) < qb:
         q_out += 1
-    coeffs: dict[tuple[int, int], Fraction] = {}
+    den = n ** 3 if k >= 0 else n ** (3 - 2 * k)
+    sums: dict[tuple[int, int], int | Fraction] = {}
     for a in divisors(n * n):
         d = n * n // a
         g = gcd(a, d)
-        # output discriminants scale by a/d; prune inputs that cannot reach q_out
-        base = Fraction(n) ** (k - 4) * Fraction(n, d) ** k * n
+        base = a ** k if k >= 0 else d ** -k  # base / den = a^k / n^3
         # b-sum sieve: partition over the exact gcd eps = gcd(a, b, d), a
         # perfect square dividing g, then a Moebius sieve over t | g/eps;
         # each piece is a full geometric sum of block size d/(eps*t)
@@ -341,6 +366,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                     block = d // (eps * t)
                     sieve.append((block, mt * block))
         for (np_, rp), c in f.coeffs.items():
+            # output discriminants scale by a/d; prune inputs that cannot reach q_out
             disc = 4 * np_ - rp * rp
             if a * disc >= 4 * q_out * d:
                 continue
@@ -356,8 +382,9 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                     N = na + rnd * x + x * x
                     if 0 <= N < q_out:
                         key = (N, rnd + 2 * x)
-                        coeffs[key] = coeffs.get(key, 0) + w
-    return JacobiExpansion(f.weight, 1, 1, coeffs, q_out)
+                        sums[key] = sums.get(key, 0) + w
+    return JacobiExpansion(f.weight, 1, 1, {key: Fraction(v, den) for key, v in sums.items()},
+                           q_out)
 
 
 def apply_T_half(h: QSeries, p: int) -> QSeries:
@@ -435,7 +462,7 @@ def phi_lift(c: QSeries, disc: int) -> QSeries:
     q_out = t + 1
     coeffs = {0: -12 * c.coeff(0)} if c.coeff(0) else {}
     for n in range(1, q_out):
-        acc = Fraction(0)
+        acc = 0
         for d in divisors(n):
             acc += kronecker(disc, d) * c.coeff(n * n * absd // (d * d))
         v = -amp * acc
@@ -445,7 +472,9 @@ def phi_lift(c: QSeries, disc: int) -> QSeries:
 
 
 def psi_lift(c: QSeries) -> JacobiExpansion:
-    """Lift to a weight-2 index-1 expansion: -12 sum_{r^2 <= 4n} c(4n - r^2) q^n zeta^r."""
+    """Lift to a weight-2 index-1 expansion: -12 sum_{r^2 <= 4n} c(4n - r^2) q^n zeta^r.
+
+    Each -12 c(N) is formed once per N, not once per term."""
     if c.scale != 1:
         raise DomainError("scale-1 series required")
     for n in c.coeffs:
@@ -453,10 +482,11 @@ def psi_lift(c: QSeries) -> JacobiExpansion:
             raise DomainError("support must lie in N = 0, 3 mod 4")
     qb = int(c.qbound)
     q_out = (qb - 1) // 4 + 1 if qb >= 1 else 0
+    twelve = {N: _exact(-12 * v) for N, v in c.coeffs.items()}
     coeffs = {}
     for n in range(q_out):
         for r in range(-isqrt(4 * n), isqrt(4 * n) + 1):
-            v = -12 * c.coeff(4 * n - r * r)
+            v = twelve.get(4 * n - r * r)
             if v:
                 coeffs[(n, r)] = v
     return JacobiExpansion(2, 1, 1, coeffs, q_out)

@@ -62,6 +62,37 @@ def test_class_number_table_invariants():
             assert h > 0
 
 
+def test_hurwitz_is_l_zero_chi_at_fundamental_discriminants():
+    # H(|D|) = 2 h(D) / w(D) = L(0, chi_D): a Kronecker sum against the form count
+    for d in range(-3, -3001, -1):
+        if is_fundamental_discriminant(d):
+            assert hurwitz(-d) == l_zero_chi(d), d
+
+
+def _reduced_form_count(n):
+    """H(n) by listing the reduced forms (a, b, c) of discriminant -n one by
+    one: |b| <= a <= c, with b >= 0 when |b| = a or a = c; a(x^2+y^2) weighs
+    1/2 and a(x^2+xy+y^2) weighs 1/3."""
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= n:
+        for b in range(-a, a + 1):
+            if (b * b + n) % (4 * a):
+                continue
+            c = (b * b + n) // (4 * a)
+            if c < a or (b < 0 and (-b == a or a == c)):
+                continue
+            total += Fraction(1, 2) if (b == 0 and a == c) else \
+                Fraction(1, 3) if a == b == c else 1
+        a += 1
+    return total
+
+
+def test_hurwitz_matches_a_form_by_form_count():
+    for n in range(1, 501):
+        assert hurwitz(n) == _reduced_form_count(n), n
+
+
 def test_hecke_relation_on_class_numbers():
     # H(N p^2) + (-N/p) H(N) + p H(N/p^2) = (p+1) H(N), H at non-integers = 0
     for p in (2, 3, 5, 7):

@@ -165,6 +165,10 @@ def test_verify_options_reach_the_config():
     ("hecke", "t2", "--p", "0"),
     ("verify", "thetadecomp", "--qbound", "0"),
     ("expand", "e21", "--qbound", "-3"),
+    ("hecke", "tj", "--qbound", "-3"),
+    ("hecke", "v", "--qbound", "-3"),
+    ("lift", "phi", "--D", "-3", "--qbound", "-3"),
+    ("lift", "psi", "--qbound", "-1"),
 ])
 def test_explicit_bad_levels_are_usage_errors(capsys, argv):
     # an explicit 0 or negative value reaches the library, which rejects it
@@ -172,6 +176,12 @@ def test_explicit_bad_levels_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_negative_qbound_is_named_as_given(capsys):
+    # hecke and lift derive the builders' bounds from --qbound, so they check it first
+    code, _, err = run_cli(capsys, "hecke", "v", "--qbound", "-3")
+    assert code == 2 and err == "error: qbound must be >= 0, got -3\n"
 
 
 # SHA-256 of the stdout of deterministic commands (no floating-point output)
@@ -192,6 +202,16 @@ GOLDEN = {
         "f2073231e4c59900549dcb4966fb7c6c311c4990c32bd839a404758a71803708",
     "classnum --max 100 --format csv":
         "42bdbdcc6e4517b302a6ce017dd9d4b294da6f137e51f220820dd17d6e9b87c9",
+    "hecke v --n 3 --qbound 10":
+        "57f5fc6fc31937fe770bf9e1509c53c13bb7b0ab3414f020a6ea438546062ad8",
+    "lift psi --qbound 20":
+        "5db1928047996f69ac9c76a6ac343085e5b1ca31c7863f8278af25653ecef9da",
+    "lift phi --D -3 --qbound 6":
+        "de2be2ce742cc1d0fe3fc3a908813577f6a7f75b3cb4f4d49552d897f53ce6f5",
+    "verify eigen":
+        "80ea40e6b0f3e38331a5b23499ea4ae0d6f0360b2f326cf734a7ed219c2dae93",
+    "verify diagram":
+        "5ee69cc0cf2e5441c9d892e85cbae436644dbd51bb621dfd3c6a91de2680b261",
 }
 
 

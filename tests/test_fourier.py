@@ -291,6 +291,64 @@ def test_apply_T_jacobi_composite_level():
     assert out.equal_below(want, out.qbound)
 
 
+def test_apply_T_jacobi_commutes_with_rational_scaling():
+    # a non-integral input scale keeps the image exact, term for term
+    for p in (2, 3):
+        f = e21_expansion(p * p * 20 + 1)
+        assert apply_T_jacobi(f.scaled_by(Fraction(1, 7)), p) == \
+            apply_T_jacobi(f, p).scaled_by(Fraction(1, 7))
+
+
+def test_apply_T_jacobi_off_weight_two():
+    # T_2 of c(0,0) = c(1,1) = c(4,0) = 1 at weight k, from the docstring's
+    # weight 2^(k-4) (2/d)^k 2 = a^k / 8 per factorization a*d = 4, the
+    # mu-sum (2 when R = 2 r / d is an integer) and x = 0, 1:
+    #   (a, d) = (1, 4), every b mod 4, b-sum 4 when 4 | n: (0,0) and (4,0)
+    #     give 4/8 at (0,0), (1,2) and (1,0);
+    #   (2, 2), b = 1 only (gcd 2 is no square), b-sum (-1)^n: (0,0) gives
+    #     2^k/8 at (0,0) and (1,2), (1,1) gives -2^k/8 at (1,1);
+    #   (4, 1), b = 0: (0,0) gives 4^k/8 at (0,0) and (1,2).
+    f = {(0, 0): 1, (1, 1): 1, (4, 0): 1}
+    want = {
+        0: {(0, 0): Fraction(3, 4), (1, 2): Fraction(3, 4), (1, 0): Fraction(1, 2),
+            (1, 1): Fraction(-1, 8)},
+        4: {(0, 0): Fraction(69, 2), (1, 2): Fraction(69, 2), (1, 0): Fraction(1, 2),
+            (1, 1): -2},
+        -2: {(0, 0): Fraction(69, 128), (1, 2): Fraction(69, 128), (1, 0): Fraction(1, 2),
+             (1, 1): Fraction(-1, 32)},
+    }
+    for k, image in want.items():
+        out = apply_T_jacobi(JacobiExpansion(k, 1, 1, f, 17), 2)
+        assert out.qbound == 2 and out.coeffs == image, k
+
+
+def test_integral_coefficients_are_ints():
+    e = e21_expansion(30)
+    assert all(type(c) is int for c in e.coeffs.values())
+    assert all(type(c) is int for c in apply_T_jacobi(e, 2).coeffs.values())
+    assert all(type(c) is int for c in psi_lift(h32_series(81)).coeffs.values())
+    h = h32_series(40)
+    assert type(h.coeff(7)) is int and h.coeff(3) == Fraction(1, 3)
+    assert type(e.scaled_by(Fraction(2, 1)).coeff(1, 0)) is int
+    assert e.scaled_by(Fraction(1, 4)).coeff(1, 0) == Fraction(-3, 2)
+
+
+def test_expansion_equality_over_a_common_scale():
+    e = e21_expansion(6)
+    assert e.rescaled(4) == e and e == e.rescaled(4).rescaled(8)
+    assert e != e21_expansion(5) and e != e.scaled_by(2) and e != h32_series(6)
+    h = h32_series(20)
+    assert h.rescaled(3) == h and h != h32_series(21)
+    with pytest.raises(DomainError):
+        e.rescaled(4).rescaled(6)
+
+
+def test_apply_V_stays_exact_at_weight_zero():
+    # the a^(k-1) factor is 1/a at weight 0, and a large integer input stays exact
+    f = JacobiExpansion(0, 1, 1, {(3, 0): 10**20 + 1, (1, 1): 1}, 10)
+    assert apply_V(f, 3).coeffs == {(1, 0): 10**20 + 1, (3, 3): Fraction(1, 3)}
+
+
 def test_diagram_commutes():
     for p in (2, 3):
         for disc in (-3, -4):
