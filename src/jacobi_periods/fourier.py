@@ -39,6 +39,11 @@ def _bound(qbound) -> Fraction:
     return qbound
 
 
+def _orders_below(qbound, s: int) -> int:
+    """ceil(qbound / s), the number of orders n >= 0 with n s < qbound."""
+    return max(0, -(-qbound // s))
+
+
 class _Expansion:
     """The methods both expansion types share.  A subclass states how its
     keys carry the scaled q-exponent: `_exponent(key)` reads it and
@@ -296,8 +301,7 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
     by_n: dict[int, list] = {}
     for (n, r), c in f.coeffs.items():
         by_n.setdefault(n, []).append((r, c))
-    qb = int(f.qbound) if f.qbound == int(f.qbound) else int(f.qbound) + 1
-    q_out = (qb - 1) // ell + 1 if qb >= 1 else 0
+    q_out = _orders_below(f.qbound, ell)
     coeffs: dict[tuple[int, int], int | Fraction] = {}
     for n in range(q_out):
         for a in divisors(ell if n == 0 else gcd(n, ell)):
@@ -397,8 +401,7 @@ def apply_T_half(h: QSeries, p: int) -> QSeries:
     for n in h.coeffs:
         if n % 4 in (1, 2):
             raise DomainError("support must lie in N = 0, 3 mod 4")
-    qb = int(h.qbound)
-    q_out = (qb - 1) // (p * p) + 1 if qb >= 1 else 0
+    q_out = _orders_below(h.qbound, p * p)
     coeffs = {}
     for n in range(q_out):
         if n % 4 in (1, 2):
@@ -421,8 +424,7 @@ def apply_T_weight2(e: QSeries, p: int, literal: bool = False) -> QSeries:
         raise DomainError("scale-1 series required")
     if p < 1:
         raise DomainError("p must be >= 1")
-    qb = int(e.qbound)
-    q_out = (qb - 1) // p + 1 if qb >= 1 else 0
+    q_out = _orders_below(e.qbound, p)
     upper = Fraction(1, p * p) if literal else 1
     coeffs = {}
     for n in range(q_out):
@@ -480,8 +482,7 @@ def psi_lift(c: QSeries) -> JacobiExpansion:
     for n in c.coeffs:
         if n % 4 in (1, 2):
             raise DomainError("support must lie in N = 0, 3 mod 4")
-    qb = int(c.qbound)
-    q_out = (qb - 1) // 4 + 1 if qb >= 1 else 0
+    q_out = _orders_below(c.qbound, 4)
     twelve = {N: _exact(-12 * v) for N, v in c.coeffs.items()}
     coeffs = {}
     for n in range(q_out):

@@ -425,7 +425,10 @@ def decompose_ideal_member(f: FormalSum):
 
 
 # ---------------------------------------------------------------------------
-# Theorem-level checks
+# Theorem-level checks, and their term budgets in `_estimate_terms` units
+
+_CONGRUENCE_TERM_BUDGET = 200_000
+_PRODUCT_TERM_BUDGET = 400_000
 
 
 def _estimate_terms(n: int) -> int:
@@ -435,12 +438,12 @@ def _estimate_terms(n: int) -> int:
     return (matrices + hat) * n2
 
 
-def check_theorem_congruence(n: int, max_terms: int = 200_000) -> dict:
+def check_theorem_congruence(n: int) -> dict:
     """Exact verification that the hat sum annihilates (S-E), (I1-E), (I2-E)
     and satisfies hat*(T-E) = (T-E)*tilde modulo the ideal."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    if _estimate_terms(n) > max_terms:
+    if _estimate_terms(n) > _CONGRUENCE_TERM_BUDGET:
         raise ResourceLimitError(f"level {n} exceeds the configured term budget")
     hat = hecke_hat(n)
     tilde = tilde_T(n)
@@ -468,7 +471,7 @@ def product_difference(n: int, n2: int, k: int) -> FormalSum:
     return diff
 
 
-def check_product_formula(n: int, n2: int, k: int, max_terms: int = 400_000) -> dict:
+def check_product_formula(n: int, n2: int, k: int) -> dict:
     """Orbit-sum test of tilde(n)*tilde(n2) = sum_{d | gcd} d^(2k-3) tilde(n*n2/d^2).
 
     `defect_in_transfer_ambiguity` reports whether (T-E)*difference lies in
@@ -483,7 +486,7 @@ def check_product_formula(n: int, n2: int, k: int, max_terms: int = 400_000) -> 
     reduction."""
     if n < 1 or n2 < 1:
         raise DomainError("levels must be >= 1")
-    if _estimate_terms(n) + _estimate_terms(n2) + _estimate_terms(n * n2) > max_terms:
+    if _estimate_terms(n) + _estimate_terms(n2) + _estimate_terms(n * n2) > _PRODUCT_TERM_BUDGET:
         raise ResourceLimitError("product exceeds the configured term budget")
     diff = product_difference(n, n2, k)
     vec = reduce_mod_ideal(diff)

@@ -43,6 +43,9 @@ Conventions fixed by computation rather than assumption:
   relation would reduce to the lattice invariance of R'.  A test compares
   the two evaluators at points from Im tau = 0.1 to 10.
 
+Every theta value, at (tau, z) and on the quadrature's ray alike, comes
+from the one sum `theta_value`, which builds its terms by recurrence.
+
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
 tests read the gates from there.
@@ -99,8 +102,9 @@ def _mpc(x):
 
 
 def _e(x):
-    """exp(2 pi i x)."""
-    return mp.e ** (2j * mp.pi * _mpc(x))
+    """exp(2 pi i x) by `mp.expjpi`, which is exact where x is a multiple
+    of 1/4 (e(1/4) = i)."""
+    return mp.expjpi(2 * _mpc(x))
 
 
 def pairwise_sum(values):
@@ -264,21 +268,38 @@ def slash_formal_sum(fval, f: FormalSum, k, m):
 # Theta, completion terms, and the period integral
 
 
+# Extra digits for the recurrence of `theta_value`, and for R' in
+# `period_value`: P is the difference of two values of R', and `beta_fn`'s
+# closed form cancels for large arguments.
+_GUARD_DPS = 5
+
+
 def theta_value(mu: int, tau, z):
     """theta_mu(tau, z) = sum over r = mu mod 2 of q^(r^2/4) zeta^r, truncated
     where the term magnitude e^(-2 pi (r^2 v/4 - |r y|)) is provably below
-    working precision for all remaining r."""
+    working precision for all remaining r.
+
+    The terms at +-r come from those at +-(r-2) by q^(r^2/4) =
+    q^((r-2)^2/4) q^(r-1) and zeta^(+-r) = zeta^(+-(r-2)) zeta^(+-2), so a
+    call takes the two exponentials e(tau/4) and e(z).  The recurrence runs
+    with `_GUARD_DPS` extra digits, and the sum keeps them."""
     tau, z = _mpc(tau), _mpc(z)
     v, y = mp.im(tau), abs(mp.im(z))
     kexp = (mp.mp.dps + 4) * mp.log(10) / (2 * mp.pi)
     rmax = int(2 * (y + mp.sqrt(y * y + v * kexp)) / v) + 2
-    total = mp.mpc(0)
-    r = mu
-    while r <= rmax:
-        total += _e(r * r / mp.mpf(4) * tau + r * z)
-        if r:
-            total += _e(r * r / mp.mpf(4) * tau - r * z)
-        r += 2
+    with mp.workdps(mp.mp.dps + _GUARD_DPS):
+        q4, zeta = _e(tau / 4), _e(z)
+        q, inv = q4**4, 1 / zeta
+        q2, zeta2, inv2 = q * q, zeta * zeta, inv * inv
+        # q^(r^2/4), q^(r+1), zeta^r and zeta^-r at r = mu
+        term, step, up, down = q4 ** (mu * mu), q ** (mu + 1), zeta**mu, inv**mu
+        total = term * (up + down) if mu else term
+        for _ in range(mu + 2, rmax + 1, 2):
+            term *= step
+            step *= q2
+            up *= zeta2
+            down *= inv2
+            total += term * (up + down)
     return total
 
 
@@ -319,37 +340,14 @@ def completion_term(mu: int, tau):
     return total / mp.sqrt(v)
 
 
-def _inverted_theta_sum(mu: int, t):
-    """sum over k in Z of (-1)^(mu k) e^(-pi k^2 / (2t)), which equals
-    (2t)^(1/2) theta_mu(i t, 0) by the modular inversion; converges fast for
-    t < 1."""
-    sign = -1 if mu == 1 else 1
-    s, k = mp.mpf(0), 1
-    while k * k / (2 * t) < mp.mp.dps * 3 + 8:
-        s += 2 * (sign**k) * mp.e ** (-mp.pi * k * k / (2 * t))
-        k += 1
-    return 1 + s
-
-
-def _theta_line_value(mu: int, t):
-    """theta_mu(i t, 0) for real t >= 1 by the direct sum, which converges
-    fast there."""
-    t = mp.mpf(t)
-    total = mp.mpf(0)
-    r = mu
-    while r * r * t / 2 < mp.mp.dps * 3 + 8:
-        total += (2 if r else 1) * mp.e ** (-2 * mp.pi * t * r * r / 4)
-        r += 2
-    return total
-
-
 class PeriodEvaluator:
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
     component integrals along the ray (0, i inf).  Integral values are cached
     per tau at the active precision, and the ray theta factors, which do not
-    depend on tau, per quadrature node: `mp.quad` reuses its tanh-sinh nodes,
-    so a new tau recomputes only the powers (tau + i t)^(-3/2).  Both caches
-    live with the instance.
+    depend on tau and are read from `theta_value`, per quadrature node:
+    `mp.quad` reuses its tanh-sinh nodes, so a new tau recomputes only the
+    powers (tau + i t)^(-3/2) and the two theta_mu(tau, z).  Both caches live
+    with the instance.
 
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
@@ -360,14 +358,18 @@ class PeriodEvaluator:
         self._cache: dict = {}
         self._ray: dict = {}
 
-    def _ray_factor(self, fn, mu: int, node, arg):
-        """fn(mu, arg) for the quadrature node `node` that determines arg,
-        memoized per (fn, mu, precision) and node; values are stored as raw
-        mpf tuples, bit-identical to a fresh evaluation."""
-        memo = self._ray.setdefault((fn, mu, mp.mp.prec), {})
+    def _ray_theta(self, piece: str, mu: int, node):
+        """The real theta factor of a ray piece at its quadrature node,
+        memoized per (piece, mu, precision) and node as a raw mpf tuple,
+        bit-identical to a fresh evaluation: theta_mu(i t, 0) at the upper
+        node t, and theta_0(i/(4u^2), mu/4) = (2u^2)^(1/2) theta_mu(i u^2, 0),
+        the theta inversion, at the lower node u."""
+        memo = self._ray.setdefault((piece, mu, mp.mp.prec), {})
         value = memo.get(node._mpf_)
         if value is None:
-            value = memo[node._mpf_] = fn(mu, arg)._mpf_
+            theta = (theta_value(mu, 1j * node, 0) if piece == "upper"
+                     else theta_value(0, 1j / (4 * node * node), mp.mpf(mu) / 4))
+            value = memo[node._mpf_] = theta.real._mpf_
         return mp.make_mpf(value)
 
     def component_integral(self, mu: int, tau):
@@ -379,23 +381,17 @@ class PeriodEvaluator:
         if key in self._cache:
             return self._cache[key]
         p32 = mp.mpf(-1.5)
-
-        def theta_line(t):
-            return self._ray_factor(_theta_line_value, mu, t, t)
-
-        if mu == 0:  # theta - its limit 1, exponentially small for t >= 1
-            upper = 2 / mp.sqrt(tau + 1j) + 1j * mp.quad(
-                lambda t: (tau + 1j * t) ** p32 * (theta_line(t) - 1), [1, mp.inf],
-                maxdegree=cfg.quad_nodes)
-        else:
-            upper = 1j * mp.quad(
-                lambda t: (tau + 1j * t) ** p32 * theta_line(t), [1, mp.inf],
-                maxdegree=cfg.quad_nodes)
-        # lower piece via t = u^2 and the inverted theta sum: the integrand
+        # theta_mu(i t, 0) tends to 1 - mu as t -> inf; the limit integrates to
+        # 2 (tau + i)^(-1/2) in closed form, and theta minus it is exponentially
+        # small for t >= 1
+        limit = 1 - mu
+        upper = limit * 2 / mp.sqrt(tau + 1j) + 1j * mp.quad(
+            lambda t: (tau + 1j * t) ** p32 * (self._ray_theta("upper", mu, t) - limit),
+            [1, mp.inf], maxdegree=cfg.quad_nodes)
+        # lower piece via t = u^2 and the theta inversion: the integrand
         # (tau + i u^2)^(-3/2) (2 u^2)^(1/2) theta_mu(i u^2, 0) is smooth on [0, 1]
         lower = 1j * mp.sqrt(2) * mp.quad(
-            lambda u: (tau + 1j * u * u) ** p32
-            * self._ray_factor(_inverted_theta_sum, mu, u, u * u)
+            lambda u: (tau + 1j * u * u) ** p32 * self._ray_theta("lower", mu, u)
             if u > 0 else tau**p32,
             [0, 1], maxdegree=cfg.quad_nodes)
         val = upper + lower
@@ -497,20 +493,15 @@ def _completion_value(tau, z):
     return _theta_decomposition(tau, z, lambda mu: 2 * completion_term(mu, tau))
 
 
-# Extra digits for R' in `period_value`: P is the difference of two values
-# of R', and `beta_fn`'s closed form cancels for large arguments.
-_PERIOD_GUARD_DPS = 5
-
-
 def period_value(tau, z, cfg: NumericConfig | None = None):
     """P(tau, z) = 12 (R'|T - R')(tau, z) in closed form.
 
     The completed function phi = -E/12 + R' is invariant under T, so
     E|T - E = 12 (R'|T - R'), and the transformation law E|T - E = P gives
-    P.  R' is evaluated with `_PERIOD_GUARD_DPS` extra digits; the value
+    P.  R' is evaluated with `_GUARD_DPS` extra digits; the value
     agrees with the quadrature of `PeriodEvaluator` at working precision."""
     cfg = cfg or NumericConfig()
-    with mp.workdps(cfg.dps + _PERIOD_GUARD_DPS):
+    with mp.workdps(cfg.dps + _GUARD_DPS):
         tau, z = _mpc(tau), _mpc(z)
         acted = slash(_completion_value, generator("T"), 2, 1)(tau, z)
         return 12 * (acted - _completion_value(tau, z))

@@ -155,6 +155,15 @@ def test_apply_T_weight2_eigenvalue():
     assert apply_T_weight2(QSeries(1, {}, 50), 3).coeffs == {}
 
 
+def test_hecke_output_is_complete_below_a_fractional_bound():
+    # the output orders n with 2n < 21/2 are 0, ..., 5: c'(5) reads c(10),
+    # which lies below the input bound
+    e2 = e2_series(Fraction(21, 2))
+    out = apply_T_weight2(e2, 2)
+    assert out.qbound == 6
+    assert out.coeff(5) == e2.coeff(10) != 0
+
+
 def test_apply_T_weight2_literal_variant_breaks_eigenvalue():
     e2 = e2_series(41)
     out = apply_T_weight2(e2, 2, literal=True)

@@ -50,6 +50,52 @@ def test_eval_point_requires_upper_half_plane():
         NumericConfig(qmax=0)
 
 
+def test_e_is_exact_at_quarter_integers():
+    with mp.workdps(30):
+        for k in range(-4, 5):
+            assert numeric._e(mp.mpf(k) / 4) == (1, 1j, -1, -1j)[k % 4], k
+
+
+def _theta_term_by_term(mu, tau, z):
+    """theta_mu(tau, z) with one exponential per term at 60 digits, summed
+    until the terms drop below 10^-66, and the sum of the terms' absolute
+    values."""
+    with mp.workdps(60):
+        tau, z = mp.mpc(tau), mp.mpc(z)
+        v, y = mp.im(tau), abs(mp.im(z))
+        terms, r = [], mu
+        while r * v <= 2 * y or r * r * v / 4 - r * y < 26:
+            for s in ((1, -1) if r else (1,)):
+                terms.append(mp.exp(2j * mp.pi * (r * r / mp.mpf(4) * tau + s * r * z)))
+            r += 2
+        return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+
+
+def test_theta_value_matches_term_by_term_sum():
+    # the terms are built by recurrence; down to Im tau = 0.02 (about 60
+    # terms) the sum stays within 1e-30 of the terms' absolute sum
+    for v in (0.02, 0.05, 0.1, 1, 10):
+        for tau in (complex(0, v), complex(0.3, v)):
+            for z in (0, complex(0.1, 0.5), complex(-0.3, -0.5), complex(0.25, 0.2)):
+                for mu in (0, 1):
+                    ref, size = _theta_term_by_term(mu, tau, z)
+                    with mp.workdps(30):
+                        val = theta_value(mu, mp.mpc(tau), mp.mpc(z))
+                    with mp.workdps(60):
+                        assert abs(val - ref) < 1e-30 * size, (mu, tau, z)
+
+
+def test_theta_inversion_on_the_ray():
+    # (2t)^(1/2) theta_mu(i t, 0) = theta_0(i/(4t), mu/4): the two forms in
+    # which `PeriodEvaluator` reads theta on the ray
+    with mp.workdps(30):
+        for t in (mp.mpf("0.01"), mp.mpf("0.05"), mp.mpf("0.3"), mp.mpf("0.77"), mp.mpf(1)):
+            for mu in (0, 1):
+                lhs = mp.sqrt(2 * t) * theta_value(mu, 1j * t, 0)
+                rhs = theta_value(0, 1j / (4 * t), mp.mpf(mu) / 4)
+                assert abs(lhs - rhs) < 1e-28 * abs(rhs), (mu, t)
+
+
 def test_eval_expansion_constant_and_dominant_term():
     one = QSeries(1, {0: 1}, 50)
     val, err = eval_expansion(one, EvalPoint(2j), CFG)
@@ -177,24 +223,23 @@ def test_period_evaluator_stability_and_periodicity():
 
 def test_period_evaluator_reuses_the_ray_factors(monkeypatch):
     calls = []
+    theta = numeric.theta_value
 
-    def counting(fn):
-        def wrapped(mu, t):
-            calls.append(fn.__name__)
-            return fn(mu, t)
-        return wrapped
+    def counting(mu, tau, z):
+        calls.append(mu)
+        return theta(mu, tau, z)
 
-    monkeypatch.setattr(numeric, "_theta_line_value", counting(numeric._theta_line_value))
-    monkeypatch.setattr(numeric, "_inverted_theta_sum", counting(numeric._inverted_theta_sum))
+    monkeypatch.setattr(numeric, "theta_value", counting)
     P = PeriodEvaluator(CFG)
     first, second = DEFAULT_POINTS[:2]
     P(first.tau, first.z)
-    assert {"_theta_line_value", "_inverted_theta_sum"} <= set(calls)
+    assert len(calls) > 100  # the ray factors, one per quadrature node
     seen = len(calls)
     # the second tau needs no quadrature degree beyond the first's, so every
-    # theta factor it reads is already memoized
+    # ray factor it reads is memoized: only theta_mu(tau, z) for mu = 0, 1
+    # is evaluated
     P(second.tau, second.z)
-    assert len(calls) == seen
+    assert calls[seen:] == [0, 1]
 
 
 def test_ray_factor_memo_keeps_values_exact():
