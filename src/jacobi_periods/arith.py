@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError
 
@@ -193,7 +193,3 @@ def moebius(n: int) -> int:
         else:
             p += 1
     return -m if n > 1 else m
-
-
-def gcd3(a: int, b: int, c: int) -> int:
-    return gcd(gcd(a, b), c)

@@ -347,9 +347,8 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
         raise DomainError("input support must satisfy 4n - r^2 >= 0")
     if n == 1:
         return JacobiExpansion(f.weight, 1, 1, dict(f.coeffs), f.qbound)
-    qb = int(f.qbound)
     q_out = 0
-    while tj_needed_nmax(n, q_out) < qb:
+    while tj_needed_nmax(n, q_out) < f.qbound:
         q_out += 1
     den = n ** 3 if k >= 0 else n ** (3 - 2 * k)
     sums: dict[tuple[int, int], int | Fraction] = {}
@@ -456,13 +455,11 @@ def phi_lift(c: QSeries, disc: int) -> QSeries:
         raise DomainError("support must be nonnegative")
     lval = l_zero_chi(disc)
     amp = Fraction(24, 1) / lval
-    qb = int(c.qbound)
     absd = -disc
-    t = 0
-    while (t + 1) * (t + 1) * absd < qb:
-        t += 1
-    q_out = t + 1
-    coeffs = {0: -12 * c.coeff(0)} if c.coeff(0) else {}
+    # the orders n >= 0 with n^2 |D| < qbound, i.e. n^2 <= ceil(qbound/|D|) - 1
+    below = _orders_below(c.qbound, absd)
+    q_out = isqrt(below - 1) + 1 if below else 0
+    coeffs = {0: -12 * c.coeff(0)} if q_out and c.coeff(0) else {}
     for n in range(1, q_out):
         acc = 0
         for d in divisors(n):

@@ -86,7 +86,7 @@ class NumericConfig:
     dps: int = 30             # working precision in decimal digits
 
     def __post_init__(self):
-        if min(self.qmax, self.quad_nodes, self.dps) <= 0 or self.tol <= 0:
+        if min(self.qmax, self.quad_nodes, self.dps) <= 0 or not self.tol > 0:
             raise DomainError("all configuration fields must be positive")
 
 
@@ -123,31 +123,29 @@ def pairwise_sum(values):
 # Series evaluation
 
 
-def _tail_bound(f, tau, z, cfg, cmax) -> mp.mpf:
-    """Estimate the dropped tail of a truncated expansion at (tau, z) from
-    the coefficient growth |c(n, r)| <= C (n+1)^2, with C = cmax fitted to
-    the stored data (the class-number coefficients grow linearly, but
-    nothing proves the fit for unstored terms), and the zeta-support
-    r^2 <= 4 * index * n."""
-    v = mp.im(tau)
-    y = abs(mp.im(z)) if isinstance(f, JacobiExpansion) else mp.mpf(0)
-    m = float(f.index) if isinstance(f, JacobiExpansion) else 0.0
-    q = mp.e ** (-2 * mp.pi * v / f.scale)
-    total = mp.mpf(0)
-    nstart = int(mp.floor(f.qbound * f.scale))
-    prev = None
-    for ns in range(nstart, nstart + 2000):
-        n = mp.mpf(ns) / f.scale
-        width = 4 * mp.sqrt(m * n) + 2 * m + 1 if m else 1
-        amp = mp.e ** (2 * mp.pi * (2 * mp.sqrt(m * n) + m) * y) if m else mp.mpf(1)
-        term = cmax * (n + 1) ** 2 * width * amp * q**ns
-        total += term
-        if prev:
-            ratio = term / prev
-            if ratio < mp.mpf("0.9") and term < mp.mpf(10) ** (-cfg.dps - 10) * (total + 1):
-                return total + term * ratio / (1 - ratio)
-        prev = term
-    raise PrecisionError("tail bound did not certify; increase qmax or Im(tau)")
+def _tail_bound(m, scale, qbound, tau, z, cmax) -> mp.mpf:
+    """Bound on the dropped tail of an expansion of index m (0 for a
+    `QSeries`) at (tau, z): with |c(n, r)| <= C (n+1)^2, C = cmax, and
+    r^2 <= 4mn, each dropped order is at most T(n) = C (n+1)^2
+    (4 sqrt(mn) + 2m + 1) e^(2 pi ((2 sqrt(mn) + m) |Im z| - n Im tau)).
+    ln T is concave, so rho(n) = T(n + 1/scale)/T(n) never grows, and the
+    tail from n0 = floor(qbound scale)/scale on is at most
+    T(n0)/(1 - rho(n0)); if rho(n0) >= 1, T does not fall on [0, n0], the
+    tail exceeds T(0) >= 1 and the bound is +inf.
+
+    A proof on h_mu = sum H(N) q^(N/4): a reduced form of discriminant -N
+    has a <= A = floor(sqrt(N/3)), one of 2a values of b and c fixed by
+    (a, b), so H(N) <= A(A+1) <= N/2 + 1/2 <= (N/4+1)^2 and C = 1 <= cmax.
+    Elsewhere C is fitted to the stored coefficients: an estimate."""
+    def majorant(n):
+        root = 2 * mp.sqrt(m * n)
+        return cmax * (n + 1) ** 2 * (2 * root + 2 * m + 1) * mp.e ** (
+            2 * mp.pi * ((root + m) * abs(mp.im(z)) - n * mp.im(tau)))
+
+    n0 = mp.mpf(int(qbound * scale)) / scale  # the floor: qbound >= 0
+    head = majorant(n0)
+    ratio = majorant(n0 + mp.mpf(1) / scale) / head
+    return head / (1 - ratio) if ratio < 1 else mp.inf
 
 
 def _powers(x, lo, hi):
@@ -164,25 +162,26 @@ def _powers(x, lo, hi):
 
 def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
     """Evaluate a truncated expansion at (tau, z); returns (value, tail_bound)
-    with `_tail_bound`'s estimate of the truncation error of the stored
-    partial sum.
+    with `_tail_bound`'s bound on the truncation error of the stored partial
+    sum, a proof on the h_mu components and an estimate elsewhere.  A bound
+    above cfg.tol raises `PrecisionError` (`required_qbound` None if +inf).
 
     Terms are grouped by scaled q-exponent: each row sum_r c zeta^r reads
     zeta^r from one power table of e(z), and the rows are weighted by integer
     powers of e(tau/scale), so no term costs an exponential.  Rows and the
     terms inside each row are reduced by the fixed pairwise tree."""
     cfg = cfg or NumericConfig()
+    if isinstance(f, JacobiExpansion):
+        m, coeffs = f.index, f.coeffs
+    elif isinstance(f, QSeries):  # index 0, with the key ns read as (ns, 0)
+        m, coeffs = 0, {(ns, 0): c for ns, c in f.coeffs.items()}
+    else:
+        raise DomainError("unsupported expansion type")
     with mp.workdps(cfg.dps):
         tau, z = _mpc(point.tau), _mpc(point.z)
         rows: dict[int, list] = {}
-        if isinstance(f, JacobiExpansion):
-            for (ns, r), c in sorted(f.coeffs.items()):
-                rows.setdefault(ns, []).append((r, c))
-        elif isinstance(f, QSeries):
-            for ns, c in sorted(f.coeffs.items()):
-                rows[ns] = [(0, c)]
-        else:
-            raise DomainError("unsupported expansion type")
+        for (ns, r), c in sorted(coeffs.items()):
+            rows.setdefault(ns, []).append((r, c))
         rs = [r for row in rows.values() for r, _ in row]
         zeta = _powers(_e(z), min(rs, default=0), max(rs, default=0))
         base = _e(tau / f.scale)
@@ -195,12 +194,12 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
             at = ns
             parts.append(qpow * pairwise_sum(c * zeta[r] for c, (r, _) in zip(cs, row)))
         value = pairwise_sum(parts)
-        bound = _tail_bound(f, tau, z, cfg, cmax)
+        bound = _tail_bound(m, f.scale, f.qbound, tau, z, cmax)
         if bound > cfg.tol:
             extra = float(mp.log(bound / mp.mpf(cfg.tol)) / (2 * mp.pi * mp.im(tau)))
             raise PrecisionError(
                 f"tail bound {mp.nstr(bound, 3)} exceeds tol {cfg.tol}",
-                required_qbound=int(float(f.qbound) + extra + 2),
+                required_qbound=None if mp.isinf(bound) else int(float(f.qbound) + extra + 2),
             )
         return value, bound
 

@@ -169,6 +169,7 @@ def test_verify_options_reach_the_config():
     ("hecke", "v", "--qbound", "-3"),
     ("lift", "phi", "--D", "-3", "--qbound", "-3"),
     ("lift", "psi", "--qbound", "-1"),
+    ("verify", "numeric", "--check", "beta", "--tol", "nan"),
 ])
 def test_explicit_bad_levels_are_usage_errors(capsys, argv):
     # an explicit 0 or negative value reaches the library, which rejects it

@@ -164,6 +164,16 @@ def test_hecke_output_is_complete_below_a_fractional_bound():
     assert out.coeff(5) == e2.coeff(10) != 0
 
 
+def test_jacobi_hecke_and_lift_count_orders_below_a_fractional_bound():
+    # tj_needed_nmax(2, 0) = 4 < 9/2, so the order 0 of the T_2 image is complete
+    assert apply_T_jacobi(e21_expansion(Fraction(9, 2)), 2).qbound == 1
+    # 0 and 1^2 * 3 lie below 7/2
+    assert phi_lift(h32_series(Fraction(7, 2)), -3).qbound == 2
+    # with no input order the lift knows none, not even the constant term
+    empty = phi_lift(h32_series(0), -3)
+    assert empty.qbound == 0 and empty.coeffs == {}
+
+
 def test_apply_T_weight2_literal_variant_breaks_eigenvalue():
     e2 = e2_series(41)
     out = apply_T_weight2(e2, 2, literal=True)

@@ -1,7 +1,12 @@
+from dataclasses import replace
+from fractions import Fraction
+from math import isqrt
+
 import mpmath as mp
 import pytest
 
 from jacobi_periods import numeric
+from jacobi_periods.arith import hurwitz
 from jacobi_periods.errors import DomainError, PrecisionError
 from jacobi_periods.fourier import (
     QSeries,
@@ -48,6 +53,8 @@ def test_eval_point_requires_upper_half_plane():
         EvalPoint(complex(1.0, -0.5))
     with pytest.raises(DomainError):
         NumericConfig(qmax=0)
+    with pytest.raises(DomainError):
+        NumericConfig(tol=float("nan"))
 
 
 def test_e_is_exact_at_quarter_integers():
@@ -154,6 +161,44 @@ def test_eval_expansion_precision_error_reports_requirement():
     with pytest.raises(PrecisionError) as info:
         eval_expansion(f, EvalPoint(complex(0.0, 0.9), 0j), CFG)
     assert info.value.required_qbound and info.value.required_qbound > 3
+
+
+def _dropped_tail(short, long, pt):
+    """|the terms that `long` stores and `short` drops| at pt, summed at 60
+    digits: the truncation error of `short`, up to the order of `long`."""
+    dropped = replace(long, coeffs={k: c for k, c in long.coeffs.items() if k not in short.coeffs})
+    return abs(eval_expansion(dropped, pt, NumericConfig(dps=60))[0])
+
+
+def test_tail_bound_dominates_the_dropped_tail():
+    # h_mu sized as _h_mu_value sizes it, against the series to four times
+    # the order
+    for v in (0.1, 1 / 9, 0.3, 1, 10):
+        q = max(CFG.qmax, int(mp.ceil((CFG.dps + 3) * mp.log(10) / (2 * mp.pi * v))))
+        pt = EvalPoint(complex(0.2, v))
+        for mu in (0, 1):
+            _, bound = eval_expansion(h_mu_series(mu, q), pt, CFG)
+            assert _dropped_tail(h_mu_series(mu, q), h_mu_series(mu, 4 * q), pt) <= bound, (mu, v)
+    # the Jacobi series, where the coefficient constant is fitted
+    short, long = e21_expansion(30), e21_expansion(120)
+    for v, y in ((1 / 3, 0.0), (0.5, 0.3), (1.0, 0.6)):
+        pt = EvalPoint(complex(0.1, v), complex(0.2, y))
+        _, bound = eval_expansion(short, pt, CFG)
+        assert _dropped_tail(short, long, pt) <= bound, (v, y)
+
+
+def test_class_numbers_meet_the_tail_bound_hypothesis():
+    # H(N) <= A(A+1) <= (N+1)/2 <= (N/4+1)^2, so C = 1 bounds h_mu
+    for n in range(3, 10**5 + 1):
+        a = isqrt(n // 3)
+        assert hurwitz(n) <= a * (a + 1) <= Fraction(n + 1, 2), n
+
+
+def test_growing_majorant_at_the_cut_raises_without_a_requirement():
+    # (n+1)^2 e^(-2 pi n / 10) still grows at n0 = 1, so the bound is +inf
+    with pytest.raises(PrecisionError) as info:
+        eval_expansion(QSeries(1, {0: 1}, 1), EvalPoint(0.1j))
+    assert info.value.required_qbound is None
 
 
 def test_pairwise_sum_matches_builtin():
