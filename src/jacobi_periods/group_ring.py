@@ -12,7 +12,9 @@ determinant n^2 and lattice entries X, Y in (1/n)Z taken mod nZ; it is stored
 as (A, x2, y2) with x2 = nX, y2 = nY reduced mod n^2.  At level 1 the lattice
 is kept unreduced: the level-1 slice must be the honest group ring of the
 integral Jacobi group (the mod-1 quotient would collapse the translations the
-congruence identities depend on).
+congruence identities depend on).  A formal sum stores its terms by matrix,
+{A: {(x2, y2): coeff}}, so sign canonicalization, matrix products and the
+matrix half of an orbit key run once per matrix, not once per lattice point.
 
 The transfer elements for the action on period functions use matrices of
 determinant n (index-raising type, lattice zero) or n^2 (index-preserving
@@ -54,72 +56,110 @@ class RingBasisElement:
         return a * d - b * c
 
 
+def _checked_matrix(level: int, mat) -> IMat:
+    """The sign-canonical form of an integer matrix of determinant level^2
+    or level."""
+    a, b, c, d = (int(v) for v in mat)
+    det = a * d - b * c
+    if det != level * level and det != level:
+        raise InvalidElementError(
+            f"determinant {det} does not match level {level} (expected {level * level} or {level})"
+        )
+    return _sign_canonical((a, b, c, d))
+
+
 def canonicalize(level: int, mat, x2: int, y2: int) -> RingBasisElement:
     """Normalize raw (A, n*X, n*Y) data: sign-canonical matrix, lattice
     reduced mod level^2 (unreduced at level 1); idempotent."""
-    a, b, c, d = (int(v) for v in mat)
-    det = a * d - b * c
-    n2 = level * level
-    if det != n2 and det != level:
-        raise InvalidElementError(
-            f"determinant {det} does not match level {level} (expected {n2} or {level})"
-        )
     if level >= 2:
-        x2 %= n2
-        y2 %= n2
-    return RingBasisElement(level=level, mat=_sign_canonical((a, b, c, d)), x2=x2, y2=y2)
+        x2 %= level * level
+        y2 %= level * level
+    return RingBasisElement(level=level, mat=_checked_matrix(level, mat), x2=x2, y2=y2)
 
 
 class FormalSum:
-    """Finite integer combination of basis elements sharing one level."""
+    """Finite integer combination of basis elements sharing one level.
 
-    __slots__ = ("level", "terms")
+    The terms are stored by matrix: `blocks` maps each matrix to its lattice
+    points {(x2, y2): coeff}, so the per-matrix work of a product or an orbit
+    reduction runs once per block and not once per point.  No block is empty
+    and no coefficient is zero; `len` counts the points."""
+
+    __slots__ = ("level", "blocks")
 
     def __init__(self, level: int, terms: dict[RingBasisElement, int] | None = None):
         self.level = level
-        self.terms: dict[RingBasisElement, int] = {}
+        self.blocks: dict[IMat, dict[tuple[int, int], int]] = {}
         if terms:
-            for k, v in terms.items():
-                if k.level != level:
+            for e, c in terms.items():
+                if e.level != level:
                     raise InvalidElementError("mixed levels in formal sum")
-                if v:
-                    self.terms[k] = v
+                self.add_term(e, c)
 
     def __len__(self):
-        return len(self.terms)
+        return sum(map(len, self.blocks.values()))
 
     def __eq__(self, other):
-        return isinstance(other, FormalSum) and self.level == other.level and self.terms == other.terms
+        return isinstance(other, FormalSum) and self.level == other.level and self.blocks == other.blocks
 
     def copy(self) -> "FormalSum":
-        return FormalSum(self.level, dict(self.terms))
-
-    def add_term(self, e: RingBasisElement, coeff: int) -> None:
-        c = self.terms.get(e, 0) + coeff
-        if c:
-            self.terms[e] = c
-        else:
-            self.terms.pop(e, None)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if self.level != other.level:
-            raise InvalidElementError("levels differ")
-        out = self.copy()
-        for e, c in other.terms.items():
-            out.add_term(e, c)
+        out = FormalSum(self.level)
+        out.blocks = {mat: dict(pts) for mat, pts in self.blocks.items()}
         return out
 
+    def _add_block(self, mat: IMat, pts: dict, k: int = 1) -> None:
+        """Add k times the points `pts` ((x2, y2) -> coeff) to the block of `mat`."""
+        block = self.blocks.setdefault(mat, {})
+        for p, c in pts.items():
+            v = block.get(p, 0) + k * c
+            if v:
+                block[p] = v
+            else:
+                block.pop(p, None)
+        if not block:
+            del self.blocks[mat]
+
+    def add_term(self, e: RingBasisElement, coeff: int) -> None:
+        self._add_block(e.mat, {(e.x2, e.y2): coeff})
+
+    def items(self):
+        """The (basis element, coefficient) pairs, block by block."""
+        for mat, pts in self.blocks.items():
+            for (x2, y2), c in pts.items():
+                yield RingBasisElement(self.level, mat, x2, y2), c
+
+    def _accumulate(self, other: "FormalSum", k: int) -> "FormalSum":
+        """Add k times `other` in place and return self."""
+        if self.level != other.level:
+            raise InvalidElementError("levels differ")
+        for mat, pts in other.blocks.items():
+            self._add_block(mat, pts, k)
+        return self
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return self.copy()._accumulate(other, 1)
+
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
+        return self.copy()._accumulate(other, -1)
 
     def scale(self, k: int) -> "FormalSum":
-        return FormalSum(self.level, {e: k * c for e, c in self.terms.items()} if k else {})
+        out = FormalSum(self.level)
+        if k:
+            out.blocks = {
+                mat: {p: k * c for p, c in pts.items()} for mat, pts in self.blocks.items()
+            }
+        return out
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """The (basis element, coefficient) pairs in basis-element order."""
+        return [
+            (RingBasisElement(self.level, mat, x2, y2), c)
+            for mat in sorted(self.blocks)
+            for (x2, y2), c in sorted(self.blocks[mat].items())
+        ]
 
     def __repr__(self):
-        return f"FormalSum(level={self.level}, {len(self.terms)} terms)"
+        return f"FormalSum(level={self.level}, {len(self)} terms)"
 
 
 def unit(level: int = 1) -> FormalSum:
@@ -137,32 +177,38 @@ def group_to_ring(g: JacobiGroupElement) -> FormalSum:
     return FormalSum(1, {e: 1})
 
 
-def _mul_basis(t1: RingBasisElement, t2: RingBasisElement) -> RingBasisElement:
-    a1, b1, c1, d1 = t1.mat
-    a2, b2, c2, d2 = t2.mat
-    mat = (
-        a1 * a2 + b1 * c2,
-        a1 * b2 + b1 * d2,
-        c1 * a2 + d1 * c2,
-        c1 * b2 + d1 * d2,
-    )
-    # (x2, y2)_out = (x2, y2)_1 * A_2 + N_1 * (x2, y2)_2, the scaled form of
-    # (X, Y)_1 * (A_2 / N_2) + (X, Y)_2
-    x2 = t1.x2 * a2 + t1.y2 * c2 + t1.level * t2.x2
-    y2 = t1.x2 * b2 + t1.y2 * d2 + t1.level * t2.y2
-    return canonicalize(t1.level * t2.level, mat, x2, y2)
-
-
 def ring_multiply(f: FormalSum, g: FormalSum) -> FormalSum:
-    """Bilinear extension of the monoid law; level(out) = level(f)*level(g)."""
+    """Bilinear extension of the monoid law; level(out) = level(f)*level(g).
+    The matrix product is taken once per pair of blocks, and only the lattice
+    map runs per pair of points."""
     for s in (f, g):
-        for e in s.terms:
-            if e.mat_det != e.level * e.level:
+        for a, b, c, d in s.blocks:
+            if a * d - b * c != s.level * s.level:
                 raise DomainError("ring multiplication needs det = level^2 elements")
-    out = FormalSum(f.level * g.level)
-    for t1, c1 in f.terms.items():
-        for t2, c2 in g.terms.items():
-            out.add_term(_mul_basis(t1, t2), c1 * c2)
+    n1 = f.level
+    out = FormalSum(n1 * g.level)
+    modulus = out.level * out.level if out.level >= 2 else 0
+    for (a1, b1, c1, d1), pts1 in f.blocks.items():
+        for (a2, b2, c2, d2), pts2 in g.blocks.items():
+            mat = _sign_canonical(
+                (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+            )
+            block = out.blocks.setdefault(mat, {})
+            # (x2, y2)_out = (x2, y2)_1 * A_2 + N_1 * (x2, y2)_2, the scaled form of
+            # (X, Y)_1 * (A_2 / N_2) + (X, Y)_2
+            shifts = [(n1 * x2, n1 * y2, k2) for (x2, y2), k2 in pts2.items()]
+            for (x1, y1), k1 in pts1.items():
+                x0 = x1 * a2 + y1 * c2
+                y0 = x1 * b2 + y1 * d2
+                for sx, sy, k2 in shifts:
+                    p = (x0 + sx, y0 + sy)
+                    if modulus:
+                        p = (p[0] % modulus, p[1] % modulus)
+                    block[p] = block.get(p, 0) + k1 * k2
+    # products of distinct pairs may cancel
+    out.blocks = {
+        mat: nz for mat, pts in out.blocks.items() if (nz := {p: c for p, c in pts.items() if c})
+    }
     return out
 
 
@@ -205,11 +251,10 @@ def _hat_matrices(n: int):
 
 def _full_lattice_sum(n: int, mats) -> FormalSum:
     """Each matrix at level n with every lattice part in (Z/n)^2."""
+    lattice = {(n * x, n * y): 1 for x in range(n) for y in range(n)}
     f = FormalSum(n)
     for mat in mats:
-        for x in range(n):
-            for y in range(n):
-                f.add_term(canonicalize(n, mat, n * x, n * y), 1)
+        f._add_block(_checked_matrix(n, mat), lattice)
     return f
 
 
@@ -269,9 +314,8 @@ def tilde_V(n: int) -> FormalSum:
     if n < 1:
         raise DomainError("level must be >= 1")
     f = FormalSum(n)
-    for fam in _tilde_matrix_lists(n, n):
-        for mat in fam:
-            f.add_term(canonicalize(n, mat, 0, 0), 1)
+    for mat in chain.from_iterable(_tilde_matrix_lists(n, n)):
+        f._add_block(_checked_matrix(n, mat), {(0, 0): 1})
     return f
 
 
@@ -312,36 +356,42 @@ def _hnf_with_modulus(rows, modulus: int):
     return p, q, s
 
 
+def _orbit_matrix_part(level: int, mat: IMat):
+    """The per-matrix half of an orbit key: the least S-orbit representative
+    of +-mat, and the HNF (p, q, s) of the lattice that the orbit quotients
+    the lattice part by (the row span of mat, plus level^2 Z^2 at level >= 2)."""
+    a, b, c, d = mat
+    n2 = level * level
+    if a * d - b * c != n2:
+        raise DomainError("orbit reduction applies to det = level^2 elements")
+    hnf = _hnf_with_modulus([(a, b), (c, d)], n2 if level >= 2 else 0)
+    candidates = []
+    for a, b, c, d in (mat, tuple(-v for v in mat)):
+        if c:
+            k = (a % abs(c) - a) // c
+            candidates.append((a + k * c, b + k * d, c, d))
+        else:
+            k = (b % abs(d) - b) // d
+            candidates.append((a, b + k * d, c, d))
+    return min(candidates), hnf
+
+
+def _orbit_lattice_point(hnf, x: int, y: int):
+    """The per-point half of an orbit key: the representative of (x, y)
+    modulo the lattice with HNF `hnf`."""
+    p, q, s = hnf
+    if p:
+        xc = x % p
+        y -= ((x - xc) // p) * q
+        x = xc
+    return x, (y % s if s else y)
+
+
 def orbit_canonical(e: RingBasisElement):
     """Deterministic key of the left orbit of e under the subgroup generated
     by S, I1, I2 (matrices +-S^k A, lattice coset mod the row span of A)."""
-    if e.mat_det != e.level * e.level:
-        raise DomainError("orbit reduction applies to det = level^2 elements")
-    n2 = e.level * e.level
-    candidates = []
-    for mat in (e.mat, tuple(-v for v in e.mat)):
-        a, b, c, d = mat
-        if c:
-            am = a % abs(c)
-            k = (am - a) // c
-            candidates.append((a + k * c, b + k * d, c, d))
-        else:
-            bm = b % abs(d)
-            k = (bm - b) // d
-            candidates.append((a, b + k * d, c, d))
-    mat_key = min(candidates)
-    a, b, c, d = e.mat
-    p, q, s = _hnf_with_modulus([(a, b), (c, d)], n2 if e.level >= 2 else 0)
-    x, y = e.x2, e.y2
-    if e.level >= 2:
-        x %= n2
-        y %= n2
-    if p:
-        xc = x % p
-        y = y - ((x - xc) // p) * q
-        x = xc
-    yc = y % s if s else y
-    return (e.level, mat_key, x, yc)
+    mat_key, hnf = _orbit_matrix_part(e.level, e.mat)
+    return (e.level, mat_key, *_orbit_lattice_point(hnf, e.x2, e.y2))
 
 
 class OrbitVector(dict):
@@ -353,14 +403,19 @@ class OrbitVector(dict):
 
 
 def reduce_mod_ideal(f: FormalSum) -> OrbitVector:
+    """The orbit vector of f: the sum of its coefficients over each orbit
+    key of `orbit_canonical`.  The matrix half of the key is computed once
+    per block of f."""
     out: dict = {}
-    for e, c in f.terms.items():
-        k = orbit_canonical(e)
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
+    for mat, pts in f.blocks.items():
+        mat_key, hnf = _orbit_matrix_part(f.level, mat)
+        for (x, y), c in pts.items():
+            k = (f.level, mat_key, *_orbit_lattice_point(hnf, x, y))
+            v = out.get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
     return OrbitVector(out)
 
 
@@ -399,10 +454,12 @@ def decompose_ideal_member(f: FormalSum):
     level = f.level
     reps: dict = {}
     buckets = {name: FormalSum(level) for name in ("S", "I1", "I2")}
-    gens = {name: generator(name) for name in ("S", "I1", "I2")}
-    inv_gens = {name: inverse(g) for name, g in gens.items()}
+    steps = {}  # name -> (h, h^-1), each embedded once
+    for name in buckets:
+        g = generator(name)
+        steps[name] = (group_to_ring(g), group_to_ring(inverse(g)))
 
-    for e, coeff in f.terms.items():
+    for e, coeff in f.items():
         e0 = reps.setdefault(orbit_canonical(e), e)
         if e == e0:
             continue
@@ -414,13 +471,11 @@ def decompose_ideal_member(f: FormalSum):
         for name, expo in reversed(word):
             for _ in range(abs(expo)):
                 if expo > 0:
-                    for t, cc in tail.terms.items():
-                        buckets[name].add_term(t, cc)
-                    tail = mul_group_left(gens[name], tail)
+                    buckets[name]._accumulate(tail, 1)
+                    tail = ring_multiply(steps[name][0], tail)
                 else:
-                    tail = mul_group_left(inv_gens[name], tail)
-                    for t, cc in tail.terms.items():
-                        buckets[name].add_term(t, -cc)
+                    tail = ring_multiply(steps[name][1], tail)
+                    buckets[name]._accumulate(tail, -1)
     return buckets["S"], buckets["I1"], buckets["I2"]
 
 
@@ -431,11 +486,20 @@ _CONGRUENCE_TERM_BUDGET = 200_000
 _PRODUCT_TERM_BUDGET = 400_000
 
 
+def _hat_terms(n: int) -> int:
+    return sum(1 for _ in _hat_matrices(n)) * n * n
+
+
 def _estimate_terms(n: int) -> int:
-    n2 = n * n
-    matrices = sum(len(fam) for fam in _tilde_matrix_lists(n, n2))
-    hat = sum(1 for _ in _hat_matrices(n))
-    return (matrices + hat) * n2
+    """The term count len(hecke_hat(n)) + len(tilde_T(n)), without building the sums."""
+    return sum(len(fam) for fam in _tilde_matrix_lists(n, n * n)) * n * n + _hat_terms(n)
+
+
+def _over_budget(levels, budget: int) -> bool:
+    """Whether the `_estimate_terms` of `levels` sum past `budget`.  The hat
+    terms are a lower bound of that sum and cheap to count, so a level far
+    past the budget is refused before any tilde matrix is enumerated."""
+    return sum(map(_hat_terms, levels)) > budget or sum(map(_estimate_terms, levels)) > budget
 
 
 def check_theorem_congruence(n: int) -> dict:
@@ -443,7 +507,7 @@ def check_theorem_congruence(n: int) -> dict:
     and satisfies hat*(T-E) = (T-E)*tilde modulo the ideal."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    if _estimate_terms(n) > _CONGRUENCE_TERM_BUDGET:
+    if _over_budget((n,), _CONGRUENCE_TERM_BUDGET):
         raise ResourceLimitError(f"level {n} exceeds the configured term budget")
     hat = hecke_hat(n)
     tilde = tilde_T(n)
@@ -486,7 +550,7 @@ def check_product_formula(n: int, n2: int, k: int) -> dict:
     reduction."""
     if n < 1 or n2 < 1:
         raise DomainError("levels must be >= 1")
-    if _estimate_terms(n) + _estimate_terms(n2) + _estimate_terms(n * n2) > _PRODUCT_TERM_BUDGET:
+    if _over_budget((n, n2, n * n2), _PRODUCT_TERM_BUDGET):
         raise ResourceLimitError("product exceeds the configured term budget")
     diff = product_difference(n, n2, k)
     vec = reduce_mod_ideal(diff)

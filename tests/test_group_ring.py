@@ -1,14 +1,18 @@
 import random
+from itertools import chain
 from math import gcd, isqrt
 
 import pytest
 
+from jacobi_periods import group_ring
 from jacobi_periods.arith import is_square
 from jacobi_periods.errors import DomainError, InvalidElementError, ResourceLimitError
 from jacobi_periods.group_ring import (
     FormalSum,
     RingBasisElement,
     _estimate_terms,
+    _hat_matrices,
+    _tilde_matrix_lists,
     canonicalize,
     check_product_formula,
     check_theorem_congruence,
@@ -72,7 +76,7 @@ def test_hecke_hat_term_counts():
     assert len(hecke_hat(2)) == 24
     assert len(hecke_hat(3)) == 108
     for n in (1, 2, 3, 4):
-        total = sum(hecke_hat(n).terms.values())
+        total = sum(c for _, c in hecke_hat(n).items())
         assert total == _oracle_hat_count(n)
 
 
@@ -84,22 +88,22 @@ def test_tilde_T_term_counts_against_oracle():
     # the paired first sum is empty for n = 2 and has the det-n^2 pairs
     # [2,-1;1,4],[4,-1;1,2] (+ mirrors) for n = 3
     assert len(tilde_T(1)) == 1
-    assert sum(tilde_T(2).terms.values()) == 40
-    assert sum(tilde_T(3).terms.values()) == 234
+    assert sum(c for _, c in tilde_T(2).items()) == 40
+    assert sum(c for _, c in tilde_T(3).items()) == 234
     for n in (2, 3):
-        got = {e.mat for e in tilde_T(n).terms}
+        got = {e.mat for e, _ in tilde_T(n).items()}
         want = {canonicalize(n, m, 0, 0).mat for m in _oracle_tilde_T_matrices(n)}
         assert got == want
 
 
 def test_tilde_V_matrices():
     assert len(tilde_V(1)) == 1
-    mats2 = sorted(e.mat for e in tilde_V(2).terms)
+    mats2 = sorted(e.mat for e, _ in tilde_V(2).items())
     assert mats2 == sorted(
         [canonicalize(2, m, 0, 0).mat for m in [(1, 0, 0, 2), (1, 1, 0, 2), (2, 0, 0, 1), (2, 0, 1, 1)]]
     )
     # determinant-n storage, zero lattice
-    for e in tilde_V(4).terms:
+    for e, _ in tilde_V(4).items():
         assert e.mat_det == 4 and (e.x2, e.y2) == (0, 0)
     assert len(tilde_V(4)) == 11
 
@@ -123,10 +127,10 @@ def test_level_one_lattice_not_collapsed():
 
 def test_ring_multiply_unit_and_grading():
     f = hecke_hat(2)
-    assert ring_multiply(f, unit(1)).terms == f.terms
+    assert dict(ring_multiply(f, unit(1)).items()) == dict(f.items())
     g = ring_multiply(hecke_hat(2), hecke_hat(3))
     assert g.level == 6
-    for e in g.terms:
+    for e, _ in g.items():
         assert e.mat_det == 36
 
 
@@ -152,7 +156,7 @@ def _random_basis_element(rng, n):
     f = FormalSum(n, {e: 1})
     for _ in range(rng.randint(0, 4)):
         f = mul_group_right(f, generator(rng.choice(["S", "T", "I1", "I2"])))
-    (e,) = f.terms
+    ((e, _),) = f.items()
     return canonicalize(n, e.mat, rng.randint(0, n * n - 1), rng.randint(0, n * n - 1))
 
 
@@ -167,7 +171,7 @@ def test_orbit_canonical_invariance():
         for name in ("S", "I1", "I2"):
             g = generator(name)
             for h in (g, inverse(g)):
-                (moved,) = mul_group_left(h, FormalSum(n, {e: 1})).terms
+                ((moved, _),) = mul_group_left(h, FormalSum(n, {e: 1})).items()
                 assert orbit_canonical(moved) == key, (e, name)
         # sign flip
         flipped = RingBasisElement(level=n, mat=tuple(-v for v in e.mat), x2=e.x2, y2=e.y2)
@@ -191,6 +195,70 @@ def test_reduce_mod_ideal_coboundaries():
             h = generator(name)
             d = mul_group_left(h, g) - g
             assert reduce_mod_ideal(d).is_zero
+
+
+def _flat_orbit_vector(f):
+    # per-point oracle of the block-wise reduction: one orbit key per term
+    out = {}
+    for e, c in f.items():
+        k = orbit_canonical(e)
+        out[k] = out.get(k, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def test_reduce_mod_ideal_matches_per_point_keys():
+    from jacobi_periods.jacobi_group import inverse
+
+    rng = random.Random(17)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        f = FormalSum(n)
+        for _ in range(rng.randint(1, 6)):
+            e = _random_basis_element(rng, n)
+            # unreduced lattice parts: kept as given at level 1, reduced above
+            r = 3 * n * n
+            e = canonicalize(n, e.mat, rng.randint(-r, r), rng.randint(-r, r))
+            c = rng.randint(-3, 3)
+            f.add_term(e, c)
+            # an orbit-mate with the opposite coefficient cancels in the reduction
+            h = generator(rng.choice(["S", "I1", "I2"]))
+            h = h if rng.random() < 0.5 else inverse(h)
+            ((moved, _),) = mul_group_left(h, FormalSum(n, {e: 1})).items()
+            f.add_term(moved, -c if rng.random() < 0.7 else rng.randint(-3, 3))
+        assert dict(reduce_mod_ideal(f)) == _flat_orbit_vector(f)
+    n = 6
+    hat, tilde = hecke_hat(n), tilde_T(n)
+    diffs = [mul_group_right(hat, generator(nm)) - hat for nm in ("S", "I1", "I2")]
+    T = generator("T")
+    diffs.append((mul_group_right(hat, T) - hat) - (mul_group_left(T, tilde) - tilde))
+    for d in diffs:
+        assert dict(reduce_mod_ideal(d)) == _flat_orbit_vector(d)
+
+
+def _flat_sorted_terms(n, mats, lattice):
+    # the pre-block storage: one canonicalized key per (matrix, lattice point)
+    terms = {}
+    for mat in mats:
+        for x, y in lattice:
+            e = canonicalize(n, mat, n * x, n * y)
+            terms[e] = terms.get(e, 0) + 1
+    return sorted((e, c) for e, c in terms.items() if c)
+
+
+def test_sorted_terms_pin_the_slash_order():
+    # numeric.slash_formal_sum sums in sorted_terms() order, so this order
+    # keeps the slash values bit-identical
+    for n in range(1, 5):
+        full = [(x, y) for x in range(n) for y in range(n)]
+        cases = [
+            (hecke_hat(n), _hat_matrices(n), full),
+            (tilde_T(n), chain.from_iterable(_tilde_matrix_lists(n, n * n)), full),
+            (tilde_V(n), chain.from_iterable(_tilde_matrix_lists(n, n)), [(0, 0)]),
+        ]
+        for f, mats, lattice in cases:
+            ref = _flat_sorted_terms(n, mats, lattice)
+            assert len(f) == len(ref), n
+            assert f.sorted_terms() == ref, n
 
 
 def test_reduce_mod_ideal_unit_not_member():
@@ -246,6 +314,19 @@ def test_theorem_congruence_resource_limit():
         check_theorem_congruence(50)
 
 
+def test_term_budget_refuses_before_enumerating_tilde(monkeypatch):
+    # the hat terms alone exceed both budgets at n = 50, so neither guard
+    # needs the tilde matrices to refuse
+    def boom(*args):
+        raise AssertionError("tilde matrices enumerated")
+
+    monkeypatch.setattr(group_ring, "_tilde_matrix_lists", boom)
+    with pytest.raises(ResourceLimitError):
+        check_theorem_congruence(50)
+    with pytest.raises(ResourceLimitError):
+        check_product_formula(50, 1, 2)
+
+
 def test_term_budget_counts_the_guarded_sums():
     for n in range(1, 6):
         assert _estimate_terms(n) == len(hecke_hat(n)) + len(tilde_T(n)), n
@@ -256,7 +337,7 @@ def test_hat_b_convention_immaterial_mod_ideal():
     # reduction of any difference against the standard hat sum
     hat = hecke_hat(2)
     shifted = FormalSum(2)
-    for e, c in hat.terms.items():
+    for e, c in hat.items():
         a, b, z, d = e.mat
         shifted.add_term(canonicalize(2, (a, b + d, z, d), e.x2, e.y2), c)
     assert reduce_mod_ideal(hat - shifted).is_zero
@@ -297,5 +378,5 @@ def test_product_formula_square_case_exploratory():
 def test_embed_scale_grading():
     t1 = embed_scale(tilde_T(1), 2)
     assert t1.level == 4
-    (e,) = t1.terms
+    ((e, _),) = t1.items()
     assert e.mat == (4, 0, 0, 4) and (e.x2, e.y2) == (0, 0)
