@@ -70,15 +70,15 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _require_qbound(args) -> None:
-    """Reject a negative --qbound up front, naming the value given: the
+def _require_qbound(qbound: int, least: int = 0) -> None:
+    """Reject a --qbound below `least` up front, naming the value given: the
     builders see only bounds derived from it."""
-    if args.qbound < 0:
-        raise DomainError(f"qbound must be >= 0, got {args.qbound}")
+    if qbound < least:
+        raise DomainError(f"qbound must be >= {least}, got {qbound}")
 
 
 def cmd_hecke(args) -> int:
-    _require_qbound(args)
+    _require_qbound(args.qbound)
     if args.operator == "v":
         out = fourier.apply_V(fourier.e21_expansion(args.qbound * args.n + 1), args.n)
     elif args.operator == "tj":
@@ -94,7 +94,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    _require_qbound(args)
+    _require_qbound(args.qbound)
     if args.lift == "phi":
         if args.D is None:
             print("lift phi: --D is required", file=sys.stderr)
@@ -128,6 +128,7 @@ def cmd_verify(args) -> int:
     if args.suite == "eigen":
         primes = [2, 3, 5] if args.p is None else [args.p]
         qb = _given(args.qbound, 15)
+        _require_qbound(qb, 1)  # the output orders compared are 0..qb-1
         detail, ok = {"qbound": qb, "primes": primes}, True
         for p in primes:
             need = fourier.tj_needed_nmax(p, qb - 1) + 1
@@ -141,12 +142,11 @@ def cmd_verify(args) -> int:
     if args.suite == "diagram":
         qb = _given(args.qbound, 12)
         detail, ok = {"qbound": qb}, True
-        pairs = [(args.p, args.D)] if args.p is not None and args.D is not None else \
-            [(p, D) for p in (2, 3) for D in (-3, -4)]
-        for p, D in pairs:
-            rep = fourier.diagram_check(p, D, qb, literal_weight2=args.literal_paper)
-            detail[f"p{p}_D{D}"] = "pass" if rep["ok"] else "fail"
-            ok = ok and rep["ok"]
+        for p in (2, 3) if args.p is None else [args.p]:
+            for D in (-3, -4) if args.D is None else [args.D]:
+                rep = fourier.diagram_check(p, D, qb, literal_weight2=args.literal_paper)
+                detail[f"p{p}_D{D}"] = "pass" if rep["ok"] else "fail"
+                ok = ok and rep["ok"]
         return _verify_report("lift_diagram", ok, detail, args)
 
     if args.suite == "groupring":

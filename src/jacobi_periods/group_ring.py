@@ -30,7 +30,7 @@ from math import gcd
 
 from .arith import divisors, is_square
 from .errors import DomainError, InvalidElementError, ResourceLimitError
-from .jacobi_group import JacobiGroupElement, generator, inverse
+from .jacobi_group import JacobiGroupElement, generator
 
 IMat = tuple[int, int, int, int]
 
@@ -239,23 +239,34 @@ def _square_gcd_ok(*vals: int) -> bool:
     return is_square(g)
 
 
-def _hat_matrices(n: int):
-    """The matrices [[a, b], [0, d]] with ad = n^2, b mod d and gcd(a, b, d)
-    a perfect square."""
-    for a in divisors(n * n):
-        d = n * n // a
+def _hat_matrices(n: int, det: int):
+    """The matrices [[a, b], [0, d]] with ad = det and b mod d.  As in
+    `_tilde_matrix_lists`, the square-gcd filter (gcd(a, b, d) a perfect
+    square) applies only in the det = n^2 case."""
+    filtered = det == n * n
+    for a in divisors(det):
+        d = det // a
         for b in range(d):
-            if _square_gcd_ok(a, b, d):
+            if not filtered or _square_gcd_ok(a, b, d):
                 yield (a, b, 0, d)
 
 
-def _full_lattice_sum(n: int, mats) -> FormalSum:
-    """Each matrix at level n with every lattice part in (Z/n)^2."""
-    lattice = {(n * x, n * y): 1 for x in range(n) for y in range(n)}
+def _lattice_sum(n: int, mats, lattice) -> FormalSum:
+    """Each matrix at level n with the lattice parts `lattice`."""
     f = FormalSum(n)
     for mat in mats:
         f._add_block(_checked_matrix(n, mat), lattice)
     return f
+
+
+def _full_lattice_sum(n: int, mats) -> FormalSum:
+    """Each matrix at level n with every lattice part in (Z/n)^2."""
+    return _lattice_sum(n, mats, {(n * x, n * y): 1 for x in range(n) for y in range(n)})
+
+
+def _zero_lattice_sum(n: int, mats) -> FormalSum:
+    """Each matrix at level n with lattice part zero."""
+    return _lattice_sum(n, mats, {(0, 0): 1})
 
 
 def hecke_hat(n: int) -> FormalSum:
@@ -263,7 +274,16 @@ def hecke_hat(n: int) -> FormalSum:
     ad = n^2, gcd(a,b,d) a perfect square, b mod d, lattice over (Z/n)^2."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    return _full_lattice_sum(n, _hat_matrices(n))
+    return _full_lattice_sum(n, _hat_matrices(n, n * n))
+
+
+def hecke_hat_V(n: int) -> FormalSum:
+    """Index-raising Hecke sum: all [[a, b], [0, d]] with ad = n and b mod d,
+    no gcd filter, lattice parts all zero (sigma_1(n) terms).  Consumed by
+    the numerical checks only, like `tilde_V`."""
+    if n < 1:
+        raise DomainError("level must be >= 1")
+    return _zero_lattice_sum(n, _hat_matrices(n, n))
 
 
 def _tilde_matrix_lists(n: int, det: int):
@@ -313,58 +333,36 @@ def tilde_V(n: int) -> FormalSum:
     numerical checks only (det != level^2 elements do not ring-multiply)."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    f = FormalSum(n)
-    for mat in chain.from_iterable(_tilde_matrix_lists(n, n)):
-        f._add_block(_checked_matrix(n, mat), {(0, 0): 1})
-    return f
+    return _zero_lattice_sum(n, chain.from_iterable(_tilde_matrix_lists(n, n)))
 
 
 # ---------------------------------------------------------------------------
 # Orbit reduction
 
 
-def _hnf_with_modulus(rows, modulus: int):
-    """Row-style HNF (p, q; 0, s) of the subgroup of Z^2 generated by `rows`
-    and modulus*Z^2 (modulus 0 means no extra generators)."""
-    work = [list(r) for r in rows]
-    if modulus:
-        work += [[modulus, 0], [0, modulus]]
-    while True:
-        nz = [r for r in work if r[0]]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[0]))
-        r0 = nz[0]
-        for r in nz[1:]:
-            q = r[0] // r0[0]
-            r[0] -= q * r0[0]
-            r[1] -= q * r0[1]
-    s = 0
-    for r in work:
-        if r[0] == 0:
-            s = gcd(s, r[1])
-    piv = [r for r in work if r[0]]
-    if piv:
-        p, q = piv[0]
-        if p < 0:
-            p, q = -p, -q
-    else:
-        p, q = 0, 0
-    if s:
-        s = abs(s)
-        q %= s
-    return p, q, s
+def _ext_gcd(a: int, b: int):
+    """(g, u, v) with g = gcd(a, b) = u a + v b and g >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
 
 
 def _orbit_matrix_part(level: int, mat: IMat):
     """The per-matrix half of an orbit key: the least S-orbit representative
-    of +-mat, and the HNF (p, q, s) of the lattice that the orbit quotients
-    the lattice part by (the row span of mat, plus level^2 Z^2 at level >= 2)."""
+    of +-mat, and the row-style HNF (p, q; 0, s) of the lattice that the
+    orbit quotients the lattice part by, the row span of mat.  That span
+    holds level^2 Z^2 (adj(mat) mat = level^2 I), so the reduction mod
+    level^2 at level >= 2 needs no extra generators.  In closed form,
+    p = gcd(a, c) = u a + v c, s = level^2 / p and q = (u b + v d) mod s."""
     a, b, c, d = mat
     n2 = level * level
     if a * d - b * c != n2:
         raise DomainError("orbit reduction applies to det = level^2 elements")
-    hnf = _hnf_with_modulus([(a, b), (c, d)], n2 if level >= 2 else 0)
+    p, u, v = _ext_gcd(a, c)
+    hnf = (p, (u * b + v * d) % (n2 // p), n2 // p)
     candidates = []
     for a, b, c, d in (mat, tuple(-v for v in mat)):
         if c:
@@ -380,11 +378,8 @@ def _orbit_lattice_point(hnf, x: int, y: int):
     """The per-point half of an orbit key: the representative of (x, y)
     modulo the lattice with HNF `hnf`."""
     p, q, s = hnf
-    if p:
-        xc = x % p
-        y -= ((x - xc) // p) * q
-        x = xc
-    return x, (y % s if s else y)
+    xc = x % p
+    return xc, (y - (x - xc) // p * q) % s
 
 
 def orbit_canonical(e: RingBasisElement):
@@ -448,34 +443,41 @@ def _transporter_word(e: RingBasisElement, e0: RingBasisElement):
 def decompose_ideal_member(f: FormalSum):
     """Constructive witness for an ideal member: FormalSums (x, y, z) with
     f = (S - E) x + (I1 - E) y + (I2 - E) z, built by telescoping each term
-    along generator steps to its orbit representative."""
+    along generator runs to its orbit representative.
+
+    A run of h^m on v adds (h^m - 1) v = sum_{0 <= j < m} (h - 1) h^j v, or
+    -sum_{m <= j < 0} (h - 1) h^j v for m < 0, to the bucket of h, and the
+    terms h^j v are written directly: S^j maps the matrix A to
+    (a + jc, b + jd; c, d), I2^j adds j (a, b) to the lattice part and I1^j
+    adds j (c, d)."""
     if not reduce_mod_ideal(f).is_zero:
         raise DomainError("formal sum is not in the ideal")
     level = f.level
+    modulus = level * level if level >= 2 else 0
     reps: dict = {}
     buckets = {name: FormalSum(level) for name in ("S", "I1", "I2")}
-    steps = {}  # name -> (h, h^-1), each embedded once
-    for name in buckets:
-        g = generator(name)
-        steps[name] = (group_to_ring(g), group_to_ring(inverse(g)))
-
     for e, coeff in f.items():
         e0 = reps.setdefault(orbit_canonical(e), e)
         if e == e0:
             continue
-        k, lam, mu = _transporter_word(e, e0)
-        word = [("S", k), ("I2", lam), ("I1", mu)]  # e = S^k I2^lam I1^mu e0
-        # h1..hr e0 - e0 = sum_i (h_i - 1)(h_{i+1}..h_r e0), with
-        # (h^-1 - 1) v = -(h - 1)(h^-1 v) for inverse steps
-        tail = FormalSum(level, {e0: coeff})
-        for name, expo in reversed(word):
-            for _ in range(abs(expo)):
-                if expo > 0:
-                    buckets[name]._accumulate(tail, 1)
-                    tail = ring_multiply(steps[name][0], tail)
-                else:
-                    tail = ring_multiply(steps[name][1], tail)
-                    buckets[name]._accumulate(tail, -1)
+        k, lam, mu = _transporter_word(e, e0)  # e = S^k I2^lam I1^mu e0
+        a, b, c, d = e0.mat
+        x, y = e0.x2, e0.y2
+        for name, m, (dx, dy) in (("I1", mu, (c, d)), ("I2", lam, (a, b))):
+            js, sign = (range(m), 1) if m > 0 else (range(m, 0), -1)
+            pts: dict = {}
+            for j in js:
+                p = (x + j * dx, y + j * dy)
+                if modulus:
+                    p = (p[0] % modulus, p[1] % modulus)
+                pts[p] = pts.get(p, 0) + 1
+            buckets[name]._add_block(e0.mat, pts, sign * coeff)
+            x, y = x + m * dx, y + m * dy
+            if modulus:
+                x, y = x % modulus, y % modulus
+        js, sign = (range(k), 1) if k > 0 else (range(k, 0), -1)
+        for j in js:
+            buckets["S"]._add_block((a + j * c, b + j * d, c, d), {(x, y): sign * coeff})
     return buckets["S"], buckets["I1"], buckets["I2"]
 
 
@@ -487,7 +489,7 @@ _PRODUCT_TERM_BUDGET = 400_000
 
 
 def _hat_terms(n: int) -> int:
-    return sum(1 for _ in _hat_matrices(n)) * n * n
+    return sum(1 for _ in _hat_matrices(n, n * n)) * n * n
 
 
 def _estimate_terms(n: int) -> int:
@@ -525,13 +527,18 @@ def check_theorem_congruence(n: int) -> dict:
 
 def product_difference(n: int, n2: int, k: int) -> FormalSum:
     """tilde(n)*tilde(n2) - sum_{d | gcd} d^(2k-3) tilde(n*n2/d^2), the lower
-    terms embedded at level (n*n2) by `embed_scale`."""
+    terms embedded at level (n*n2) by `embed_scale`.  A lower term (d > 1)
+    with 2k - 3 < 0 has no integer coefficient and raises `DomainError`."""
+    g = gcd(n, n2)
+    if g > 1 and 2 * k - 3 < 0:
+        raise DomainError(f"the lower terms d^(2k-3) are not integers at k = {k} and "
+                          f"gcd(n, n2) = {g}")
     diff = ring_multiply(tilde_T(n), tilde_T(n2))
-    for d in divisors(gcd(n, n2)):
+    for d in divisors(g):
         t = tilde_T(n * n2 // (d * d))
         if d > 1:
-            t = embed_scale(t, d)
-        diff = diff - t.scale(d ** (2 * k - 3))
+            t = embed_scale(t, d).scale(d ** (2 * k - 3))
+        diff = diff - t
     return diff
 
 

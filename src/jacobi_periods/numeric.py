@@ -48,7 +48,8 @@ from the one sum `theta_value`, which builds its terms by recurrence.
 
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
-tests read the gates from there.
+tests read the gates from there.  Each check states its identity as a
+residual function, and `_worst` takes its largest magnitude over the points.
 
 All evaluations are pure; sums over Hecke terms are reduced by a fixed
 pairwise tree so results are bit-stable for a given configuration.
@@ -64,7 +65,7 @@ import mpmath as mp
 
 from .errors import DomainError, PrecisionError
 from .fourier import JacobiExpansion, QSeries, e21_expansion, h_mu_series
-from .group_ring import FormalSum, hecke_hat, tilde_T, tilde_V
+from .group_ring import FormalSum, hecke_hat, hecke_hat_V, tilde_T, tilde_V
 from .jacobi_group import JacobiGroupElement, generator, minus_identity_shift, power
 
 
@@ -510,19 +511,31 @@ def period_value(tau, z, cfg: NumericConfig | None = None):
 # Verification checks
 
 
+def _worst(points, residual) -> float:
+    """The largest |residual(tau, z)| over the points, as a float."""
+    return float(max(abs(residual(_mpc(pt.tau), _mpc(pt.z))) for pt in points))
+
+
+def _defect(F, g, m=1):
+    """F|g - F at weight 2 and index m."""
+    acted = slash(F, g, 2, m)
+    return lambda tau, z: acted(tau, z) - F(tau, z)
+
+
+def _power_sum(F, g, order):
+    """sum_{j < order} F|g^j at weight 2 and index 1, pairwise-reduced."""
+    acted = [slash(F, power(g, j), 2, 1) for j in range(order)]
+    return lambda tau, z: pairwise_sum(fn(tau, z) for fn in acted)
+
+
 def check_transformation_law(cfg: NumericConfig | None = None, points=DEFAULT_POINTS) -> dict:
     """| (E|T) - E - P | at the configured points."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        f = lambda tau, z: e21_value(tau, z, cfg)
-        fT = slash(f, generator("T"), 2, 1)
+        defect = _defect(lambda tau, z: e21_value(tau, z, cfg), generator("T"))
         P = PeriodEvaluator(cfg)
-        errs = []
-        for pt in points:
-            tau, z = _mpc(pt.tau), _mpc(pt.z)
-            errs.append(abs(fT(tau, z) - f(tau, z) - P(tau, z)))
-        return {"check": "transformation_law", "max_abs_error": float(max(errs)),
-                "points": len(points)}
+        err = _worst(points, lambda tau, z: defect(tau, z) - P(tau, z))
+        return {"check": "transformation_law", "max_abs_error": err, "points": len(points)}
 
 
 def check_period_relations(cfg: NumericConfig | None = None, points=DEFAULT_POINTS) -> dict:
@@ -530,31 +543,17 @@ def check_period_relations(cfg: NumericConfig | None = None, points=DEFAULT_POIN
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         P = PeriodEvaluator(cfg)
-        errs = {"T": [], "U": []}
-        for name, order in (("T", 4), ("U", 6)):
-            g = generator(name)
-            for pt in points:
-                tau, z = _mpc(pt.tau), _mpc(pt.z)
-                vals = [slash(P, power(g, j), 2, 1)(tau, z) for j in range(order)]
-                errs[name].append(abs(pairwise_sum(vals)))
-        return {
-            "check": "period_relations",
-            "points": len(points),
-            "max_abs_error_T": float(max(errs["T"])),
-            "max_abs_error_U": float(max(errs["U"])),
-            "max_abs_error": float(max(max(errs["T"]), max(errs["U"]))),
-        }
+        err_T = _worst(points, _power_sum(P, generator("T"), 4))
+        err_U = _worst(points, _power_sum(P, generator("U"), 6))
+        return {"check": "period_relations", "points": len(points), "max_abs_error_T": err_T,
+                "max_abs_error_U": err_U, "max_abs_error": max(err_T, err_U)}
 
 
 def period_relation_negative_control(cfg: NumericConfig | None = None) -> float:
     """The four-term sum applied to the constant 1 (not a period function)."""
     cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        one = lambda tau, z: mp.mpc(1)
-        tau, z = _mpc(DEFAULT_POINTS[0].tau), _mpc(DEFAULT_POINTS[0].z)
-        T = generator("T")
-        vals = [slash(one, power(T, j), 2, 1)(tau, z) for j in range(4)]
-        return float(abs(pairwise_sum(vals)))
+        return _worst(DEFAULT_POINTS[:1], _power_sum(lambda tau, z: mp.mpc(1), generator("T"), 4))
 
 
 def check_tildeT_action(p: int = 2, cfg: NumericConfig | None = None, points=None) -> dict:
@@ -571,14 +570,13 @@ def check_tildeT_action(p: int = 2, cfg: NumericConfig | None = None, points=Non
     with mp.workdps(cfg.dps):
         P = lambda tau, z: period_value(tau, z, cfg)
         acted = slash_formal_sum(P, tilde_T(p), 2, 1)
-        rel = []
-        for pt in points:
-            tau, z = _mpc(pt.tau), _mpc(pt.z)
-            lhs = acted(tau, z) / p**2
+
+        def rel_error(tau, z):
             ref = P(tau, z)
-            rel.append(abs(lhs - (p + 1) * ref) / abs(ref))
+            return abs(acted(tau, z) / p**2 - (p + 1) * ref) / abs(ref)
+
         return {"check": "transfer_action", "p": p, "points": len(points),
-                "max_rel_error": float(max(rel))}
+                "max_rel_error": _worst(points, rel_error)}
 
 
 def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dict:
@@ -592,39 +590,21 @@ def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dic
     normalized-matrix or index-m readings).  At k = 2 the n^(k/2-1) prefactor
     is 1, so the k-dependence of the outer power is not testable here.
 
-    The left side slashes E|V_n evaluated through `e21_value`; P on the
-    right is the closed form `period_value`, which reads none of E's
-    class-number coefficients."""
+    The left side is `v_sum_value`, the slash sum of E by `hecke_hat_V(n)`
+    evaluated through `e21_value`; P on the right is the closed form
+    `period_value`, which reads none of E's class-number coefficients."""
     cfg = cfg or NumericConfig()
     points = points or (EvalPoint(complex(0, 1), complex(0.1, 0)),
                         EvalPoint(complex(0, 1.2), complex(0.05, 0)))
     k = 2
     with mp.workdps(cfg.dps):
-        f = lambda tau, z: e21_value(tau, z, cfg)
-
-        def f_V(tau, z):  # n^(k-1) sum_{ad=n, b mod d} d^(-k) f((a tau + b)/d, a z)
-            tau, z = _mpc(tau), _mpc(z)
-            parts = []
-            for a in range(1, n + 1):
-                if n % a:
-                    continue
-                d = n // a
-                for b in range(d):
-                    parts.append(mp.mpf(d) ** (-k) * f((a * tau + b) / d, a * z))
-            return mp.mpf(n) ** (k - 1) * pairwise_sum(parts)
-
-        fVT = slash(f_V, generator("T"), k, n)  # index m*n
-
-        def P_scaled(tau, z):
-            return period_value(tau, mp.sqrt(n) * z, cfg)
-
-        rhs = slash_formal_sum(P_scaled, tilde_V(n), k, n)
-        errs = []
-        for pt in points:
-            tau, z = _mpc(pt.tau), _mpc(pt.z)
-            lhs = fVT(tau, z) - f_V(tau, z)
-            errs.append(abs(lhs - mp.mpf(n) ** (mp.mpf(k) / 2 - 1) * rhs(tau, z)))
-        return {"check": "index_raising_transfer", "n": n, "max_abs_error": float(max(errs))}
+        defect = _defect(lambda tau, z: v_sum_value(n, EvalPoint(tau, z), cfg),
+                         generator("T"), n)  # index m*n
+        rhs = slash_formal_sum(lambda tau, z: period_value(tau, mp.sqrt(n) * z, cfg),
+                               tilde_V(n), k, n)
+        scale = mp.mpf(n) ** (mp.mpf(k) / 2 - 1)
+        err = _worst(points, lambda tau, z: defect(tau, z) - scale * rhs(tau, z))
+        return {"check": "index_raising_transfer", "n": n, "max_abs_error": err}
 
 
 def check_phi_invariance(cfg: NumericConfig | None = None, points=None) -> dict:
@@ -637,16 +617,9 @@ def check_phi_invariance(cfg: NumericConfig | None = None, points=None) -> dict:
         phi = lambda tau, z: phi_value(tau, z, cfg)
         out = {"check": "completed_invariance"}
         for name in ("T", "S", "I1"):
-            g = generator(name)
-            acted = slash(phi, g, 2, 1)
-            errs = [abs(acted(_mpc(pt.tau), _mpc(pt.z)) - phi(_mpc(pt.tau), _mpc(pt.z)))
-                    for pt in points]
-            out[f"max_abs_error_{name}"] = float(max(errs))
+            out[f"max_abs_error_{name}"] = _worst(points, _defect(phi, generator(name)))
         hol = lambda tau, z: phi_value(tau, z, cfg, holomorphic_only=True)
-        acted = slash(hol, generator("T"), 2, 1)
-        pt = points[0]
-        out["holomorphic_only_T_defect"] = float(
-            abs(acted(_mpc(pt.tau), _mpc(pt.z)) - hol(_mpc(pt.tau), _mpc(pt.z))))
+        out["holomorphic_only_T_defect"] = _worst(points[:1], _defect(hol, generator("T")))
         out["max_abs_error"] = max(out["max_abs_error_T"], out["max_abs_error_S"],
                                    out["max_abs_error_I1"])
         return out
@@ -661,10 +634,7 @@ def check_extended_relation_readings(cfg: NumericConfig | None = None, points=DE
         P = PeriodEvaluator(cfg)
         out = {"check": "extended_relation_readings"}
         for name, g in (("minus_I_shift", minus_identity_shift()), ("I2", generator("I2"))):
-            acted = slash(P, g, 2, 1)
-            errs = [abs(acted(_mpc(pt.tau), _mpc(pt.z)) - P(_mpc(pt.tau), _mpc(pt.z)))
-                    for pt in points]
-            out[f"max_abs_error_{name}"] = float(max(errs))
+            out[f"max_abs_error_{name}"] = _worst(points, _defect(P, g))
         out["max_abs_error"] = max(out["max_abs_error_minus_I_shift"], out["max_abs_error_I2"])
         return out
 
@@ -749,6 +719,22 @@ def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = 
         f = lambda tau, z: e21_value(tau, z, cfg)
         acted = slash_formal_sum(f, hecke_hat(n), k, 1)
         return mp.mpf(n) ** (k - 4) * acted(point.tau, point.z)
+
+
+def v_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = None):
+    """Direct evaluation of the index-raising Hecke sum on the weight-2
+    index-1 series: n^(k-1) sum d^(-k) E((a tau + b)/d, a z) over the
+    matrices [[a, b], [0, d]] of `hecke_hat_V(n)` (the numeric side of the
+    oracle pair with `fourier.apply_V`)."""
+    cfg = cfg or NumericConfig()
+    k = 2
+    with mp.workdps(cfg.dps):
+        tau, z = _mpc(point.tau), _mpc(point.z)
+        parts = []
+        for e, c in hecke_hat_V(n).sorted_terms():
+            a, b, _, d = e.mat
+            parts.append(c * mp.mpf(d) ** (-k) * e21_value((a * tau + b) / d, a * z, cfg))
+        return mp.mpf(n) ** (k - 1) * pairwise_sum(parts)
 
 
 class Check(NamedTuple):

@@ -170,9 +170,11 @@ def test_verify_options_reach_the_config():
     ("lift", "phi", "--D", "-3", "--qbound", "-3"),
     ("lift", "psi", "--qbound", "-1"),
     ("verify", "numeric", "--check", "beta", "--tol", "nan"),
+    ("verify", "eigen", "--qbound", "0"),
+    ("verify", "product", "--n", "2", "--np", "2", "--k", "1"),
 ])
 def test_explicit_bad_levels_are_usage_errors(capsys, argv):
-    # an explicit 0 or negative value reaches the library, which rejects it
+    # an explicit out-of-range value is refused with a DomainError
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -183,6 +185,23 @@ def test_negative_qbound_is_named_as_given(capsys):
     # hecke and lift derive the builders' bounds from --qbound, so they check it first
     code, _, err = run_cli(capsys, "hecke", "v", "--qbound", "-3")
     assert code == 2 and err == "error: qbound must be >= 0, got -3\n"
+
+
+def test_eigen_qbound_is_named_as_given(capsys):
+    # qbound 0 would compare no order; the derived output order is -1
+    code, out, err = run_cli(capsys, "verify", "eigen", "--qbound", "0")
+    assert (code, out) == (2, "") and err == "error: qbound must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("option, want", [
+    (("--p", "5"), ["p5_D-3", "p5_D-4"]),
+    (("--D", "-4"), ["p2_D-4", "p3_D-4"]),
+])
+def test_verify_diagram_single_option(capsys, option, want):
+    # a lone --p or --D fixes that coordinate and keeps the other's defaults
+    code, out, _ = run_cli(capsys, "verify", "diagram", *option, "--qbound", "4")
+    rep = json.loads(out)
+    assert code == 0 and sorted(k for k in rep if k.startswith("p")) == want
 
 
 # SHA-256 of the stdout of deterministic commands (no floating-point output)

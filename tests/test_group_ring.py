@@ -12,6 +12,7 @@ from jacobi_periods.group_ring import (
     RingBasisElement,
     _estimate_terms,
     _hat_matrices,
+    _orbit_matrix_part,
     _tilde_matrix_lists,
     canonicalize,
     check_product_formula,
@@ -20,6 +21,7 @@ from jacobi_periods.group_ring import (
     embed_scale,
     group_to_ring,
     hecke_hat,
+    hecke_hat_V,
     mul_group_left,
     mul_group_right,
     orbit_canonical,
@@ -108,6 +110,14 @@ def test_tilde_V_matrices():
     assert len(tilde_V(4)) == 11
 
 
+def test_hecke_hat_V_is_the_upper_triangular_family():
+    for n in range(1, 13):
+        f = hecke_hat_V(n)
+        want = {(a, b, 0, n // a) for a in range(1, n + 1) if n % a == 0 for b in range(n // a)}
+        assert {e.mat: (e.x2, e.y2, c) for e, c in f.items()} == {m: (0, 0, 1) for m in want}
+        assert len(f) == sum(d for d in range(1, n + 1) if n % d == 0), n
+
+
 def test_canonicalize_examples():
     e = canonicalize(2, (2, 1, 0, 2), 1, 0)
     assert canonicalize(2, e.mat, e.x2, e.y2) == e  # idempotent
@@ -176,6 +186,25 @@ def test_orbit_canonical_invariance():
         # sign flip
         flipped = RingBasisElement(level=n, mat=tuple(-v for v in e.mat), x2=e.x2, y2=e.y2)
         assert orbit_canonical(canonicalize(n, flipped.mat, e.x2, e.y2)) == key
+
+
+def test_orbit_hnf_is_the_row_span():
+    # (p, q; 0, s) must generate exactly the row span of A: both HNF rows are
+    # integer combinations of A's rows (x = v adj(A) / det is integral), both
+    # rows of A reduce to the zero point, and p s = det fixes the index
+    rng = random.Random(21)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        e = _random_basis_element(rng, n)
+        a, b, c, d = e.mat
+        det = n * n
+        mat_key, hnf = _orbit_matrix_part(n, e.mat)
+        p, q, s = hnf
+        assert p > 0 and 0 <= q < s and p * s == det, (e, hnf)
+        for vx, vy in ((p, q), (0, s)):
+            assert (vx * d - vy * c) % det == 0 and (vy * a - vx * b) % det == 0, (e, hnf)
+        for row in ((a, b), (c, d)):
+            assert group_ring._orbit_lattice_point(hnf, *row) == (0, 0), (e, hnf)
 
 
 def test_orbit_keys_distinguish_levels():
@@ -251,7 +280,8 @@ def test_sorted_terms_pin_the_slash_order():
     for n in range(1, 5):
         full = [(x, y) for x in range(n) for y in range(n)]
         cases = [
-            (hecke_hat(n), _hat_matrices(n), full),
+            (hecke_hat(n), _hat_matrices(n, n * n), full),
+            (hecke_hat_V(n), _hat_matrices(n, n), [(0, 0)]),
             (tilde_T(n), chain.from_iterable(_tilde_matrix_lists(n, n * n)), full),
             (tilde_V(n), chain.from_iterable(_tilde_matrix_lists(n, n)), [(0, 0)]),
         ]
@@ -373,6 +403,16 @@ def test_product_formula_square_case_exploratory():
     report = check_product_formula(2, 2, 2)
     assert not report["ok"]
     assert not report["defect_in_transfer_ambiguity"]
+
+
+def test_product_difference_refuses_fractional_lower_terms():
+    # at k = 1 the lower term d^(2k-3) = 1/2 of tilde(2)^2 is not an integer
+    with pytest.raises(DomainError):
+        product_difference(2, 2, 1)
+    # with gcd 1 there is no lower term, and every coefficient stays an int
+    for k in (1, 2):
+        diff = product_difference(2, 3, k)
+        assert all(type(c) is int for _, c in diff.items())
 
 
 def test_embed_scale_grading():

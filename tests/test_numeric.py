@@ -43,6 +43,7 @@ from jacobi_periods.numeric import (
     phi_value,
     slash,
     theta_value,
+    v_sum_value,
 )
 
 CFG = NumericConfig(qmax=48, quad_nodes=6, tol=1e-9, dps=30)
@@ -393,3 +394,14 @@ def test_exact_hecke_matches_slash_sum_p3():
     pt = EvalPoint(1j, complex(0.1, 0.1))
     via_exact, _ = eval_expansion(exact, pt, CFG)
     assert abs(hecke_slash_sum_value(3, pt, CFG) - via_exact) < 1e-20
+
+
+def test_v_sum_matches_the_exact_index_raising_operator():
+    # the oracle pair of V_l: the slash sum of E by hecke_hat_V(l) against
+    # the closed-form coefficients of fourier.apply_V
+    source = e21_expansion(160)
+    for ell in (2, 3):
+        image = apply_V(source, ell)
+        for pt in DEFAULT_POINTS:
+            via_exact, _ = eval_expansion(image, pt, CFG)
+            assert abs(v_sum_value(ell, pt, CFG) - via_exact) < 1e-20, (ell, pt)
