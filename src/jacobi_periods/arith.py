@@ -77,7 +77,7 @@ class ClassNumberTable:
     @classmethod
     def build(cls, nmax: int) -> "ClassNumberTable":
         if nmax < 0:
-            raise DomainError("table bound must be nonnegative")
+            raise DomainError(f"table bound must be nonnegative, got {nmax}")
         _extend_class_numbers(nmax)
         return cls(max=nmax, values={n: hurwitz(n) for n in range(nmax + 1)})
 

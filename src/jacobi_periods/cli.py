@@ -42,9 +42,6 @@ def _config(args) -> numeric.NumericConfig:
 
 
 def cmd_classnum(args) -> int:
-    if args.max < 0:
-        print("classnum: --max must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     table = arith.ClassNumberTable.build(args.max)
     rows = list(table.rows())
     if args.format == "csv":

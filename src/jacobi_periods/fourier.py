@@ -31,11 +31,11 @@ def _exact(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _bound(qbound) -> Fraction:
-    """A truncation bound as a Fraction; a negative one is rejected."""
+def _bound(qbound, least=0) -> Fraction:
+    """A truncation bound as a Fraction; one below `least` is rejected."""
     qbound = _num(qbound)
-    if qbound < 0:
-        raise DomainError(f"qbound must be >= 0, got {qbound}")
+    if qbound < least:
+        raise DomainError(f"qbound must be >= {least}, got {qbound}")
     return qbound
 
 
@@ -194,33 +194,23 @@ def theta(mu: int, qbound) -> JacobiExpansion:
     return JacobiExpansion(Fraction(1, 2), 1, 4, coeffs, qbound)
 
 
+def _class_numbers(first: int, step: int, stop: int) -> dict[int, Fraction]:
+    """{N: H(N)} over range(first, stop, step), the zero values left out."""
+    return {n: h for n in range(first, stop, step) if (h := hurwitz(n))}
+
+
 def h_mu_series(mu: int, qbound) -> QSeries:
     """Class-number component series sum H(N) q^(N/4) over N = -mu^2 mod 4."""
     if mu not in (0, 1):
         raise DomainError("mu must be 0 or 1")
     qbound = _bound(qbound)
-    res = 0 if mu == 0 else 3
-    coeffs = {}
-    n = res if res else 0
-    while Fraction(n, 4) < qbound:
-        h = hurwitz(n)
-        if h:
-            coeffs[n] = h
-        n += 4
-    return QSeries(4, coeffs, qbound)
+    return QSeries(4, _class_numbers(3 * mu, 4, ceil(4 * qbound)), qbound)
 
 
 def h32_series(qbound) -> QSeries:
     """sum_{N >= 0} H(N) q^N; equals the two component series in 4*tau."""
     qbound = _bound(qbound)
-    coeffs = {}
-    n = 0
-    while n < qbound:
-        h = hurwitz(n)
-        if h:
-            coeffs[n] = h
-        n += 1
-    return QSeries(1, coeffs, qbound)
+    return QSeries(1, _class_numbers(0, 1, ceil(qbound)), qbound)
 
 
 def e2_series(qbound) -> QSeries:
@@ -235,20 +225,16 @@ def e2_series(qbound) -> QSeries:
 
 
 def e21_expansion(qbound) -> JacobiExpansion:
-    """Weight-2 index-1 Eisenstein-type expansion -12 sum H(4n - r^2) q^n zeta^r.
-
-    Every coefficient is an integer (H(0) = -1/12 and H(N) lies in Z/6 for
-    N > 0), so each -12 H(N) is taken once per N with integer operations."""
-    nmax = ceil(_bound(qbound))  # the orders n < qbound
-    twelve = [-12 * h.numerator // h.denominator for h in map(hurwitz, range(4 * nmax - 3))]
-    coeffs = {}
-    for n in range(nmax):
-        for r in range(-isqrt(4 * n), isqrt(4 * n) + 1):
-            coeffs[(n, r)] = twelve[4 * n - r * r]
-    return JacobiExpansion(2, 1, 1, coeffs, qbound)
+    """The weight-2 index-1 Eisenstein series E_{2,1} = -12 sum H(4n - r^2)
+    q^n zeta^r, as the psi-lift of the class-number series (Eichler-Zagier
+    section 5).  It is complete below ceil(qbound), the first order n it
+    leaves out; its lift reads H(N) for N <= 4 ceil(qbound) - 4.  Every
+    coefficient is an integer (H(0) = -1/12 and H(N) lies in Z/6 for N > 0),
+    held as an int."""
+    return psi_lift(h32_series(max(4 * ceil(_bound(qbound)) - 3, 0)))
 
 
-def theta_combination(h0: QSeries, h1: QSeries, weight=2, index=1) -> JacobiExpansion:
+def theta_combination(h0: QSeries, h1: QSeries) -> JacobiExpansion:
     """-12 (h0 * theta_0 + h1 * theta_1) as a scale-4 expansion."""
     if h0.scale != 4 or h1.scale != 4:
         raise DomainError("component series must have scale 4")
@@ -263,15 +249,13 @@ def theta_combination(h0: QSeries, h1: QSeries, weight=2, index=1) -> JacobiExpa
                 if Fraction(key[0], 4) >= bound:
                     continue
                 coeffs[key] = coeffs.get(key, 0) + w * tcoef
-    return JacobiExpansion(weight, index, 4, coeffs, bound)
+    return JacobiExpansion(2, 1, 4, coeffs, bound)
 
 
 def theta_decomposition_check(qbound) -> bool:
     """Coefficient-wise identity between the class-number expansion and its
     theta decomposition, below qbound."""
-    qbound = _num(qbound)
-    if qbound < 1:
-        raise DomainError("qbound must be >= 1")
+    qbound = _bound(qbound, 1)
     combo = theta_combination(h_mu_series(0, qbound), h_mu_series(1, qbound))
     return e21_expansion(qbound).equal_below(combo, qbound)
 
@@ -473,20 +457,23 @@ def phi_lift(c: QSeries, disc: int) -> QSeries:
 def psi_lift(c: QSeries) -> JacobiExpansion:
     """Lift to a weight-2 index-1 expansion: -12 sum_{r^2 <= 4n} c(4n - r^2) q^n zeta^r.
 
-    Each -12 c(N) is formed once per N, not once per term."""
+    The lift of the class-number series `h32_series` is E_{2,1}
+    (`e21_expansion`).  Each -12 c(N) is formed once per N, into a list
+    indexed by N, not once per term."""
     if c.scale != 1:
         raise DomainError("scale-1 series required")
     for n in c.coeffs:
         if n % 4 in (1, 2):
             raise DomainError("support must lie in N = 0, 3 mod 4")
     q_out = _orders_below(c.qbound, 4)
-    twelve = {N: _exact(-12 * v) for N, v in c.coeffs.items()}
+    twelve = [_exact(-12 * c.coeff(N)) for N in range(4 * q_out - 3)]
+    # c is not read again; a series built for this call (as in
+    # `e21_expansion`) is freed here, before the terms are built
+    del c
     coeffs = {}
     for n in range(q_out):
         for r in range(-isqrt(4 * n), isqrt(4 * n) + 1):
-            v = twelve.get(4 * n - r * r)
-            if v:
-                coeffs[(n, r)] = v
+            coeffs[(n, r)] = twelve[4 * n - r * r]
     return JacobiExpansion(2, 1, 1, coeffs, q_out)
 
 
@@ -494,8 +481,7 @@ def diagram_check(p: int, disc: int, qbound: int, literal_weight2: bool = False)
     """Exact commutativity of the lift square: the half-integral Hecke action
     followed by either lift agrees with the lift followed by the weight-2
     resp. index-1 Hecke action, below qbound."""
-    if qbound < 1:
-        raise DomainError("qbound must be >= 1")
+    _bound(qbound, 1)
     absd = -disc
     need_phi = p * p * (qbound - 1) ** 2 * absd + 1
     need_psi = 4 * ((qbound - 1) * p * p) + 1

@@ -28,7 +28,7 @@ def test_classnum_json_and_csv(capsys):
 
 def test_classnum_usage_error(capsys):
     code, _, err = run_cli(capsys, "classnum", "--max", "-1")
-    assert code == 2
+    assert code == 2 and err == "error: table bound must be nonnegative, got -1\n"
 
 
 def test_unknown_subcommand(capsys):
@@ -191,6 +191,13 @@ def test_eigen_qbound_is_named_as_given(capsys):
     # qbound 0 would compare no order; the derived output order is -1
     code, out, err = run_cli(capsys, "verify", "eigen", "--qbound", "0")
     assert (code, out) == (2, "") and err == "error: qbound must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("suite", ["diagram", "thetadecomp"])
+@pytest.mark.parametrize("qbound", ["0", "-2"])
+def test_diagram_and_thetadecomp_qbound_is_named_as_given(capsys, suite, qbound):
+    code, out, err = run_cli(capsys, "verify", suite, "--qbound", qbound)
+    assert (code, out) == (2, "") and err == f"error: qbound must be >= 1, got {qbound}\n"
 
 
 @pytest.mark.parametrize("option, want", [

@@ -52,6 +52,27 @@ def test_h_series():
         assert src.coeff(n) == c
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 7, 20, Fraction(7, 3), Fraction(49, 16)])
+def test_class_number_series_match_termwise_hurwitz(q):
+    for mu in (0, 1):
+        want = {N: hurwitz(N) for N in range(4 * 21) if N % 4 == 3 * mu and Fraction(N, 4) < q}
+        h = h_mu_series(mu, q)
+        assert (h.scale, h.coeffs, h.qbound) == (4, want, q), mu
+    want = {N: hurwitz(N) for N in range(21) if N < q and hurwitz(N)}
+    h = h32_series(q)
+    assert (h.scale, h.coeffs, h.qbound) == (1, want, q)
+
+
+def test_e21_expansion_matches_termwise_class_numbers():
+    for q in range(31):  # q = 0 gives the empty expansion
+        want = {(n, r): -12 * hurwitz(4 * n - r * r)
+                for n in range(q) for r in range(-2 * n, 2 * n + 1) if r * r <= 4 * n}
+        e = e21_expansion(q)
+        assert (e.weight, e.index, e.scale, e.coeffs, e.qbound) == (2, 1, 1, want, q), q
+    # the bound is the first order left out: the orders n < 9/2 are those n < 5
+    assert e21_expansion(Fraction(9, 2)) == e21_expansion(5)
+
+
 def test_e2_series_coefficients():
     e2 = e2_series(8)
     assert [e2.coeff(n) for n in range(4)] == [1, -24, -72, -96]
@@ -166,7 +187,8 @@ def test_hecke_output_is_complete_below_a_fractional_bound():
 
 def test_jacobi_hecke_and_lift_count_orders_below_a_fractional_bound():
     # tj_needed_nmax(2, 0) = 4 < 9/2, so the order 0 of the T_2 image is complete
-    assert apply_T_jacobi(e21_expansion(Fraction(9, 2)), 2).qbound == 1
+    assert apply_T_jacobi(JacobiExpansion(2, 1, 1, e21_expansion(5).coeffs, Fraction(9, 2)),
+                          2).qbound == 1
     # 0 and 1^2 * 3 lie below 7/2
     assert phi_lift(h32_series(Fraction(7, 2)), -3).qbound == 2
     # with no input order the lift knows none, not even the constant term

@@ -219,7 +219,7 @@ def test_slash_identity_and_z_translation():
 
 
 def test_cocycle_identity():
-    report = check_cocycle(CFG, trials=100)
+    report = check_cocycle(CFG)
     assert report["max_abs_error"] < CHECKS["cocycle"].gate, report
 
 
@@ -235,7 +235,7 @@ def test_cocycle_check_sees_the_slash_factor(monkeypatch):
         return j * numeric._e(-m * lam * mu), tau2, z2
 
     monkeypatch.setattr(numeric, "_act", without_lam_mu)
-    assert check_cocycle(CFG, trials=100)["max_abs_error"] > 1e-3
+    assert check_cocycle(CFG)["max_abs_error"] > 1e-3
 
 
 def test_beta_closed_form_vs_quadrature():
