@@ -3,8 +3,10 @@
 Subcommands mirror the library: exact expansions and Hecke actions, the
 class-number table, the lift square, and the verification suites.  All
 reports are emitted as JSON with sorted keys and sorted term lists, so
-identical invocations are byte-identical.  Exit codes: 0 on success/pass,
-1 when a verification fails, 2 on usage errors.
+identical invocations are byte-identical.  On `expand`, `hecke` and `lift`,
+`--qbound Q` emits an expansion complete below q^Q, with qbound Q; each
+input is built to the order such an output reads.  Exit codes: 0 on
+success/pass, 1 when a verification fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -67,39 +69,33 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _require_qbound(qbound: int, least: int = 0) -> None:
-    """Reject a --qbound below `least` up front, naming the value given: the
-    builders see only bounds derived from it."""
-    if qbound < least:
-        raise DomainError(f"qbound must be >= {least}, got {qbound}")
-
-
 def cmd_hecke(args) -> int:
-    _require_qbound(args.qbound)
+    q = args.qbound
+    fourier._bound(q)  # named as given: the builders see only bounds derived from it
     if args.operator == "v":
-        out = fourier.apply_V(fourier.e21_expansion(args.qbound * args.n + 1), args.n)
+        out = fourier.apply_V(fourier.e21_expansion(q * args.n), args.n)
     elif args.operator == "tj":
-        need = fourier.tj_needed_nmax(args.p, max(args.qbound - 1, 0)) + 1
-        out = fourier.apply_T_jacobi(fourier.e21_expansion(max(need, args.qbound)), args.p)
+        need = fourier.tj_needed_nmax(args.p, q - 1) + 1 if q else 0
+        out = fourier.apply_T_jacobi(fourier.e21_expansion(need), args.p)
     elif args.operator == "thalf":
-        out = fourier.apply_T_half(fourier.h32_series(args.qbound * args.p**2 + 1), args.p)
+        out = fourier.apply_T_half(fourier.h32_series(q * args.p**2), args.p)
     else:  # t2
-        out = fourier.apply_T_weight2(fourier.e2_series(args.qbound * args.p + 1), args.p,
+        out = fourier.apply_T_weight2(fourier.e2_series(q * args.p), args.p,
                                       literal=args.literal_paper)
     _emit(out.to_json_dict(), args)
     return EXIT_OK
 
 
 def cmd_lift(args) -> int:
-    _require_qbound(args.qbound)
+    q = args.qbound
+    fourier._bound(q)
     if args.lift == "phi":
         if args.D is None:
             print("lift phi: --D is required", file=sys.stderr)
             return EXIT_USAGE
-        src = fourier.h32_series(args.qbound * args.qbound * abs(args.D) + 1)
-        out = fourier.phi_lift(src, args.D)
+        out = fourier.phi_lift(fourier.h32_series(q * q * abs(args.D)), args.D)
     else:
-        out = fourier.psi_lift(fourier.h32_series(4 * args.qbound + 1))
+        out = fourier.psi_lift(fourier.h32_series(4 * q))
     _emit(out.to_json_dict(), args)
     return EXIT_OK
 
@@ -125,7 +121,7 @@ def cmd_verify(args) -> int:
     if args.suite == "eigen":
         primes = [2, 3, 5] if args.p is None else [args.p]
         qb = _given(args.qbound, 15)
-        _require_qbound(qb, 1)  # the output orders compared are 0..qb-1
+        fourier._bound(qb, 1)  # the output orders compared are 0..qb-1
         detail, ok = {"qbound": qb, "primes": primes}, True
         for p in primes:
             need = fourier.tj_needed_nmax(p, qb - 1) + 1
@@ -244,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--D", type=int)
     p.add_argument("--check", help="restrict the numeric suite to one check")
-    defaults = numeric.NumericConfig()
+    defaults = numeric.DEFAULT_CONFIG
     p.add_argument("--qmax", type=int, default=defaults.qmax)
     p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=defaults.quad_nodes)
     p.add_argument("--tol", type=float, default=defaults.tol)

@@ -216,11 +216,7 @@ def h32_series(qbound) -> QSeries:
 def e2_series(qbound) -> QSeries:
     """Weight-2 Eisenstein series 1 - 24 sum sigma_1(n) q^n."""
     qbound = _bound(qbound)
-    coeffs = {0: 1}
-    n = 1
-    while n < qbound:
-        coeffs[n] = -24 * sigma(n, 1)
-        n += 1
+    coeffs = {n: -24 * sigma(n, 1) if n else 1 for n in range(ceil(qbound))}
     return QSeries(1, coeffs, qbound)
 
 

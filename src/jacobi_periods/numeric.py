@@ -37,7 +37,8 @@ Conventions fixed by computation rather than assumption:
   the quadrature of the integral above as the independent oracle of the
   checks that the closed form would make tautologies; it is about fifty
   times slower than the closed form at an evaluator's first tau and ten
-  times at each further tau, which reuses the ray theta factors.  With
+  times at each further tau, which reuses the ray theta factors; its memos
+  are keyed by the exact tau or node and the precision.  With
   the closed form the transformation law would reduce to phi|T = phi, the
   four-term relation would telescope to R'|T^4 - R', and the extended
   relation would reduce to the lattice invariance of R'.  A test compares
@@ -91,6 +92,8 @@ class NumericConfig:
             raise DomainError("all configuration fields must be positive")
 
 
+DEFAULT_CONFIG = NumericConfig()
+
 DEFAULT_POINTS = (
     EvalPoint(complex(0.0, 1.0), complex(0.1, 0.2)),
     EvalPoint(complex(0.3, 1.1), 0j),
@@ -98,14 +101,10 @@ DEFAULT_POINTS = (
 )
 
 
-def _mpc(x):
-    return mp.mpc(x)
-
-
 def _e(x):
     """exp(2 pi i x) by `mp.expjpi`, which is exact where x is a multiple
     of 1/4 (e(1/4) = i)."""
-    return mp.expjpi(2 * _mpc(x))
+    return mp.expjpi(2 * mp.mpc(x))
 
 
 def pairwise_sum(values):
@@ -161,7 +160,7 @@ def _powers(x, lo, hi):
     return table
 
 
-def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
+def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     """Evaluate a truncated expansion at (tau, z); returns (value, tail_bound)
     with `_tail_bound`'s bound on the truncation error of the stored partial
     sum, a proof on the h_mu components and an estimate elsewhere.  A bound
@@ -171,7 +170,6 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
     zeta^r from one power table of e(z), and the rows are weighted by integer
     powers of e(tau/scale), so no term costs an exponential.  Rows and the
     terms inside each row are reduced by the fixed pairwise tree."""
-    cfg = cfg or NumericConfig()
     if isinstance(f, JacobiExpansion):
         m, coeffs = f.index, f.coeffs
     elif isinstance(f, QSeries):  # index 0, with the key ns read as (ns, 0)
@@ -179,7 +177,7 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
     else:
         raise DomainError("unsupported expansion type")
     with mp.workdps(cfg.dps):
-        tau, z = _mpc(point.tau), _mpc(point.z)
+        tau, z = mp.mpc(point.tau), mp.mpc(point.z)
         rows: dict[int, list] = {}
         for (ns, r), c in sorted(coeffs.items()):
             rows.setdefault(ns, []).append((r, c))
@@ -199,7 +197,7 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig | None = None):
         if bound > cfg.tol:
             extra = float(mp.log(bound / mp.mpf(cfg.tol)) / (2 * mp.pi * mp.im(tau)))
             raise PrecisionError(
-                f"tail bound {mp.nstr(bound, 3)} exceeds tol {cfg.tol}",
+                f"tail bound {float(bound):.3g} exceeds tol {cfg.tol}",
                 required_qbound=None if mp.isinf(bound) else int(float(f.qbound) + extra + 2),
             )
         return value, bound
@@ -240,7 +238,7 @@ def slash(fval, g: JacobiGroupElement, k, m):
     kf = mp.mpf(k.numerator) / k.denominator if isinstance(k, Fraction) else mp.mpf(k)
 
     def acted(tau, z):
-        j, tau2, z2 = _act(_normalized(g), kf, m, _mpc(tau), _mpc(z))
+        j, tau2, z2 = _act(_normalized(g), kf, m, mp.mpc(tau), mp.mpc(z))
         return j * fval(tau2, z2)
 
     return acted
@@ -283,7 +281,7 @@ def theta_value(mu: int, tau, z):
     q^((r-2)^2/4) q^(r-1) and zeta^(+-r) = zeta^(+-(r-2)) zeta^(+-2), so a
     call takes the two exponentials e(tau/4) and e(z).  The recurrence runs
     with `_GUARD_DPS` extra digits, and the sum keeps them."""
-    tau, z = _mpc(tau), _mpc(z)
+    tau, z = mp.mpc(tau), mp.mpc(z)
     v, y = mp.im(tau), abs(mp.im(z))
     kexp = (mp.mp.dps + 4) * mp.log(10) / (2 * mp.pi)
     rmax = int(2 * (y + mp.sqrt(y * y + v * kexp)) / v) + 2
@@ -313,9 +311,8 @@ def beta_fn(x):
     return (2 * mp.e ** (-x) - 2 * mp.sqrt(mp.pi * x) * mp.erfc(mp.sqrt(x))) / (16 * mp.pi)
 
 
-def beta_fn_quadrature(x, cfg: NumericConfig | None = None):
+def beta_fn_quadrature(x, cfg: NumericConfig = DEFAULT_CONFIG):
     """Direct adaptive quadrature of the defining integral (oracle for beta_fn)."""
-    cfg = cfg or NumericConfig()
     x = mp.mpf(x)
     if x < 0:
         raise DomainError("argument must be nonnegative")
@@ -327,7 +324,7 @@ def beta_fn_quadrature(x, cfg: NumericConfig | None = None):
 def completion_term(mu: int, tau):
     """v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v) q^(-l^2/4); the
     nonholomorphic completion component attached to the class numbers."""
-    tau = _mpc(tau)
+    tau = mp.mpc(tau)
     v = mp.im(tau)
     total = mp.mpc(0)
     l = mu
@@ -342,42 +339,40 @@ def completion_term(mu: int, tau):
 
 class PeriodEvaluator:
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
-    component integrals along the ray (0, i inf).  Integral values are cached
-    per tau at the active precision, and the ray theta factors, which do not
-    depend on tau and are read from `theta_value`, per quadrature node:
+    component integrals along the ray (0, i inf).  Integral values are memoized
+    per (mu, exact tau, precision), and the ray theta factors, which do not
+    depend on tau and are read from `theta_value`, per exact quadrature node:
     `mp.quad` reuses its tanh-sinh nodes, so a new tau recomputes only the
-    powers (tau + i t)^(-3/2) and the two theta_mu(tau, z).  Both caches live
-    with the instance.
+    powers (tau + i t)^(-3/2) and the two theta_mu(tau, z).  Both memos live
+    with the instance; a hit is bit-identical to a fresh evaluation.
 
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
     of `period_value` itself."""
 
-    def __init__(self, cfg: NumericConfig | None = None):
-        self.cfg = cfg or NumericConfig()
+    def __init__(self, cfg: NumericConfig = DEFAULT_CONFIG):
+        self.cfg = cfg
         self._cache: dict = {}
         self._ray: dict = {}
 
     def _ray_theta(self, piece: str, mu: int, node):
         """The real theta factor of a ray piece at its quadrature node,
-        memoized per (piece, mu, precision) and node as a raw mpf tuple,
-        bit-identical to a fresh evaluation: theta_mu(i t, 0) at the upper
-        node t, and theta_0(i/(4u^2), mu/4) = (2u^2)^(1/2) theta_mu(i u^2, 0),
-        the theta inversion, at the lower node u."""
+        memoized per (piece, mu, precision) and node: theta_mu(i t, 0) at the
+        upper node t, and theta_0(i/(4u^2), mu/4) = (2u^2)^(1/2)
+        theta_mu(i u^2, 0), the theta inversion, at the lower node u."""
         memo = self._ray.setdefault((piece, mu, mp.mp.prec), {})
-        value = memo.get(node._mpf_)
+        value = memo.get(node)
         if value is None:
             theta = (theta_value(mu, 1j * node, 0) if piece == "upper"
                      else theta_value(0, 1j / (4 * node * node), mp.mpf(mu) / 4))
-            value = memo[node._mpf_] = theta.real._mpf_
-        return mp.make_mpf(value)
+            value = memo[node] = theta.real
+        return value
 
     def component_integral(self, mu: int, tau):
         """int_0^{i inf} (tau + w)^(-3/2) theta_mu(w, 0) dw, split at w = i
         with the theta inversion taming the w -> 0 endpoint."""
-        cfg = self.cfg
-        tau = _mpc(tau)
-        key = (mu, mp.nstr(tau, mp.mp.dps - 3), mp.mp.dps, cfg.quad_nodes)
+        tau = mp.mpc(tau)
+        key = (mu, tau, mp.mp.prec)
         if key in self._cache:
             return self._cache[key]
         p32 = mp.mpf(-1.5)
@@ -387,34 +382,30 @@ class PeriodEvaluator:
         limit = 1 - mu
         upper = limit * 2 / mp.sqrt(tau + 1j) + 1j * mp.quad(
             lambda t: (tau + 1j * t) ** p32 * (self._ray_theta("upper", mu, t) - limit),
-            [1, mp.inf], maxdegree=cfg.quad_nodes)
+            [1, mp.inf], maxdegree=self.cfg.quad_nodes)
         # lower piece via t = u^2 and the theta inversion: the integrand
         # (tau + i u^2)^(-3/2) (2 u^2)^(1/2) theta_mu(i u^2, 0) is smooth on [0, 1]
         lower = 1j * mp.sqrt(2) * mp.quad(
             lambda u: (tau + 1j * u * u) ** p32 * self._ray_theta("lower", mu, u)
             if u > 0 else tau**p32,
-            [0, 1], maxdegree=cfg.quad_nodes)
-        val = upper + lower
-        self._cache[key] = val
+            [0, 1], maxdegree=self.cfg.quad_nodes)
+        val = self._cache[key] = upper + lower
         return val
 
     def __call__(self, tau, z):
         with mp.workdps(self.cfg.dps):
-            tau, z = _mpc(tau), _mpc(z)
-            total = pairwise_sum(
-                self.component_integral(mu, tau) * theta_value(mu, tau, z) for mu in (0, 1)
-            )
+            tau, z = mp.mpc(tau), mp.mpc(z)
+            total = _theta_decomposition(tau, z, lambda mu: self.component_integral(mu, tau))
             return -(24 / mp.pi) * (1 + 1j) / 16 * total
 
 
-def eichler_theta_integral(mu: int, tau, cfg: NumericConfig | None = None):
+def eichler_theta_integral(mu: int, tau, cfg: NumericConfig = DEFAULT_CONFIG):
     """Both sides of the completion identity at tau: the beta series
     v^(-1/2) sum beta(pi l^2 v) q^(-l^2/4) and the ray integral
     (1+i)/(16 pi) int_{-conj(tau)}^{i inf} (t + tau)^(-3/2) theta_mu(t, 0) dt;
     returns (series_side, integral_side)."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        tau = _mpc(tau)
+        tau = mp.mpc(tau)
         u, v = mp.re(tau), mp.im(tau)
         series_side = completion_term(mu, tau)
 
@@ -454,19 +445,18 @@ def _theta_decomposition(tau, z, component):
     return total
 
 
-def e21_value(tau, z, cfg: NumericConfig | None = None):
+def e21_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     """E(tau, z) = -12 sum_mu h_mu(tau) theta_mu(tau, z), the theta
     decomposition of the weight-2 index-1 class-number series (Eichler-Zagier
     section 5; checked coefficientwise by `fourier.theta_decomposition_check`).
     It costs O(Q) one-variable terms plus an adaptive `theta_value`, with no
     tail in the zeta direction."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        tau, z = _mpc(tau), _mpc(z)
+        tau, z = mp.mpc(tau), mp.mpc(z)
         return -12 * _theta_decomposition(tau, z, lambda mu: _h_mu_value(mu, tau, cfg))
 
 
-def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
+def phi_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG, holomorphic_only=False):
     """F_0 theta_0 + F_1 theta_1 with F_mu the class-number component plus
     twice its nonholomorphic completion term; with holomorphic_only the
     completion is dropped (which destroys the inversion invariance).
@@ -476,9 +466,8 @@ def phi_value(tau, z, cfg: NumericConfig | None = None, holomorphic_only=False):
     defect survives.  The same factor is visible classically: at 4 tau the
     two components must sum to the completed weight-3/2 class-number series,
     whose completion is twice the sum of the two printed component terms."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
-        tau, z = _mpc(tau), _mpc(z)
+        tau, z = mp.mpc(tau), mp.mpc(z)
 
         def component(mu):
             h = _h_mu_value(mu, tau, cfg)
@@ -493,16 +482,15 @@ def _completion_value(tau, z):
     return _theta_decomposition(tau, z, lambda mu: 2 * completion_term(mu, tau))
 
 
-def period_value(tau, z, cfg: NumericConfig | None = None):
+def period_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     """P(tau, z) = 12 (R'|T - R')(tau, z) in closed form.
 
     The completed function phi = -E/12 + R' is invariant under T, so
     E|T - E = 12 (R'|T - R'), and the transformation law E|T - E = P gives
     P.  R' is evaluated with `_GUARD_DPS` extra digits; the value
     agrees with the quadrature of `PeriodEvaluator` at working precision."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps + _GUARD_DPS):
-        tau, z = _mpc(tau), _mpc(z)
+        tau, z = mp.mpc(tau), mp.mpc(z)
         acted = slash(_completion_value, generator("T"), 2, 1)(tau, z)
         return 12 * (acted - _completion_value(tau, z))
 
@@ -513,7 +501,7 @@ def period_value(tau, z, cfg: NumericConfig | None = None):
 
 def _worst(points, residual) -> float:
     """The largest |residual(tau, z)| over the points, as a float."""
-    return float(max(abs(residual(_mpc(pt.tau), _mpc(pt.z))) for pt in points))
+    return float(max(abs(residual(mp.mpc(pt.tau), mp.mpc(pt.z))) for pt in points))
 
 
 def _defect(F, g, m=1):
@@ -528,9 +516,8 @@ def _power_sum(F, g, order):
     return lambda tau, z: pairwise_sum(fn(tau, z) for fn in acted)
 
 
-def check_transformation_law(cfg: NumericConfig | None = None, points=DEFAULT_POINTS) -> dict:
+def check_transformation_law(cfg: NumericConfig = DEFAULT_CONFIG, points=DEFAULT_POINTS) -> dict:
     """| (E|T) - E - P | at the configured points."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         defect = _defect(lambda tau, z: e21_value(tau, z, cfg), generator("T"))
         P = PeriodEvaluator(cfg)
@@ -538,9 +525,8 @@ def check_transformation_law(cfg: NumericConfig | None = None, points=DEFAULT_PO
         return {"check": "transformation_law", "max_abs_error": err, "points": len(points)}
 
 
-def check_period_relations(cfg: NumericConfig | None = None, points=DEFAULT_POINTS) -> dict:
+def check_period_relations(cfg: NumericConfig = DEFAULT_CONFIG, points=DEFAULT_POINTS) -> dict:
     """|sum_{j<=3} P|T^j| and |sum_{j<=5} P|U^j| at the configured points."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         P = PeriodEvaluator(cfg)
         err_T = _worst(points, _power_sum(P, generator("T"), 4))
@@ -549,14 +535,15 @@ def check_period_relations(cfg: NumericConfig | None = None, points=DEFAULT_POIN
                 "max_abs_error_U": err_U, "max_abs_error": max(err_T, err_U)}
 
 
-def period_relation_negative_control(cfg: NumericConfig | None = None) -> float:
+def period_relation_negative_control(cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """The four-term sum applied to the constant 1 (not a period function)."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         return _worst(DEFAULT_POINTS[:1], _power_sum(lambda tau, z: mp.mpc(1), generator("T"), 4))
 
 
-def check_tildeT_action(p: int = 2, cfg: NumericConfig | None = None, points=None) -> dict:
+def check_tildeT_action(p: int = 2, cfg: NumericConfig = DEFAULT_CONFIG,
+                        points=(EvalPoint(complex(0, 1), complex(0.1, 0.1)),
+                                EvalPoint(complex(0, 1.5), 0j))) -> dict:
     """Relative error of p^(-2) P|tilde(p) against (p+1) P at two points.
 
     P is the closed form `period_value` = 12 (R'|T - R'), so the check asks
@@ -564,9 +551,6 @@ def check_tildeT_action(p: int = 2, cfg: NumericConfig | None = None, points=Non
     modulo the relation ideal.  It cannot see P's normalization (a scaled
     completion passes); `period_value`'s comparison with `PeriodEvaluator`
     pins that."""
-    cfg = cfg or NumericConfig()
-    points = points or (EvalPoint(complex(0, 1), complex(0.1, 0.1)),
-                        EvalPoint(complex(0, 1.5), 0j))
     with mp.workdps(cfg.dps):
         P = lambda tau, z: period_value(tau, z, cfg)
         acted = slash_formal_sum(P, tilde_T(p), 2, 1)
@@ -579,7 +563,9 @@ def check_tildeT_action(p: int = 2, cfg: NumericConfig | None = None, points=Non
                 "max_rel_error": _worst(points, rel_error)}
 
 
-def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dict:
+def check_theorem1(n: int, cfg: NumericConfig = DEFAULT_CONFIG,
+                   points=(EvalPoint(complex(0, 1), complex(0.1, 0)),
+                           EvalPoint(complex(0, 1.2), complex(0.05, 0)))) -> dict:
     """Index-raising transfer identity: the T-obstruction of E|V_n equals
     n^(k/2-1) (P composed with the dilation (tau, z) -> (tau, sqrt(n) z))
     slashed by tilde_V(n) at index m*n.
@@ -593,9 +579,6 @@ def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dic
     The left side is `v_sum_value`, the slash sum of E by `hecke_hat_V(n)`
     evaluated through `e21_value`; P on the right is the closed form
     `period_value`, which reads none of E's class-number coefficients."""
-    cfg = cfg or NumericConfig()
-    points = points or (EvalPoint(complex(0, 1), complex(0.1, 0)),
-                        EvalPoint(complex(0, 1.2), complex(0.05, 0)))
     k = 2
     with mp.workdps(cfg.dps):
         defect = _defect(lambda tau, z: v_sum_value(n, EvalPoint(tau, z), cfg),
@@ -607,12 +590,12 @@ def check_theorem1(n: int, cfg: NumericConfig | None = None, points=None) -> dic
         return {"check": "index_raising_transfer", "n": n, "max_abs_error": err}
 
 
-def check_phi_invariance(cfg: NumericConfig | None = None, points=None) -> dict:
+def check_phi_invariance(cfg: NumericConfig = DEFAULT_CONFIG,
+                         points=(EvalPoint(complex(0, 1), complex(0.2, 0)),) + DEFAULT_POINTS[1:]
+                         ) -> dict:
     """Invariance of the completed function under the inversion element, plus
     the manifest shear/translation invariances and the negative control with
     the completion dropped."""
-    cfg = cfg or NumericConfig()
-    points = points or (EvalPoint(complex(0, 1), complex(0.2, 0)),) + DEFAULT_POINTS[1:]
     with mp.workdps(cfg.dps):
         phi = lambda tau, z: phi_value(tau, z, cfg)
         out = {"check": "completed_invariance"}
@@ -625,11 +608,10 @@ def check_phi_invariance(cfg: NumericConfig | None = None, points=None) -> dict:
         return out
 
 
-def check_extended_relation_readings(cfg: NumericConfig | None = None, points=DEFAULT_POINTS) -> dict:
+def check_extended_relation_readings(cfg: NumericConfig = DEFAULT_CONFIG, points=DEFAULT_POINTS) -> dict:
     """The extended relation P = P|g is evaluated for both candidate readings
     of the extra element, [-I, (1, 0)] and [I, (1, 0)]; both residuals are
     reported without choosing between them."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         P = PeriodEvaluator(cfg)
         out = {"check": "extended_relation_readings"}
@@ -639,7 +621,7 @@ def check_extended_relation_readings(cfg: NumericConfig | None = None, points=DE
         return out
 
 
-def check_cocycle(cfg: NumericConfig | None = None) -> dict:
+def check_cocycle(cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Cocycle identity j(g1 g2) = j(g1, g2 pt) j(g2, pt) for the factor that
     `slash` applies, on 100 seeded pairs of random integral and normalized
     determinant-ell elements, phases included.
@@ -649,10 +631,9 @@ def check_cocycle(cfg: NumericConfig | None = None) -> dict:
     exact composition law `compose` run on normalized floating triples."""
     import random as _random
 
-    cfg = cfg or NumericConfig()
     trials = 100
     rng = _random.Random(23)
-    pts = [(_mpc(p.tau), _mpc(p.z)) for p in DEFAULT_POINTS]
+    pts = [(mp.mpc(p.tau), mp.mpc(p.z)) for p in DEFAULT_POINTS]
 
     def rand_int_element():
         g = generator("E")
@@ -683,16 +664,15 @@ def check_cocycle(cfg: NumericConfig | None = None) -> dict:
         return {"check": "cocycle", "max_abs_error": float(worst), "trials": trials}
 
 
-def check_beta(cfg: NumericConfig | None = None, xs=(0.3, 1.0, 2.5)) -> dict:
+def check_beta(cfg: NumericConfig = DEFAULT_CONFIG, xs=(0.3, 1.0, 2.5)) -> dict:
     """Largest gap between beta's closed form and its quadrature, both at the
     configured precision."""
-    cfg = cfg or NumericConfig()
     with mp.workdps(cfg.dps):
         err = max(abs(beta_fn(x) - beta_fn_quadrature(x, cfg)) for x in xs)
         return {"check": "beta", "max_abs_error": float(err)}
 
 
-def check_eichler_integral(cfg: NumericConfig | None = None,
+def check_eichler_integral(cfg: NumericConfig = DEFAULT_CONFIG,
                            taus=(1j, 2j, complex(0.5, 1.3))) -> dict:
     """Largest gap between the two sides of `eichler_theta_integral` over
     mu in {0, 1} and the given tau."""
@@ -701,11 +681,10 @@ def check_eichler_integral(cfg: NumericConfig | None = None,
     return {"check": "eichler_integral", "max_abs_error": float(err)}
 
 
-def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = None):
+def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     """Direct evaluation of the index-preserving Hecke sum on the weight-2
     index-1 expansion: n^(k-4) times the slash of the series by `hecke_hat(n)`
     (the numeric side of the oracle pair)."""
-    cfg = cfg or NumericConfig()
     k = 2
     with mp.workdps(cfg.dps):
         f = lambda tau, z: e21_value(tau, z, cfg)
@@ -713,15 +692,14 @@ def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = 
         return mp.mpf(n) ** (k - 4) * acted(point.tau, point.z)
 
 
-def v_sum_value(n: int, point: EvalPoint, cfg: NumericConfig | None = None):
+def v_sum_value(n: int, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     """Direct evaluation of the index-raising Hecke sum on the weight-2
     index-1 series: n^(k-1) sum d^(-k) E((a tau + b)/d, a z) over the
     matrices [[a, b], [0, d]] of `hecke_hat_V(n)` (the numeric side of the
     oracle pair with `fourier.apply_V`)."""
-    cfg = cfg or NumericConfig()
     k = 2
     with mp.workdps(cfg.dps):
-        tau, z = _mpc(point.tau), _mpc(point.z)
+        tau, z = mp.mpc(point.tau), mp.mpc(point.z)
         parts = []
         for e, c in hecke_hat_V(n).sorted_terms():
             a, b, _, d = e.mat

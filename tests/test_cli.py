@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from jacobi_periods.cli import _config, build_parser, main
+from jacobi_periods.cli import _SERIES_BUILDERS, _config, build_parser, main
 from jacobi_periods.numeric import NumericConfig
 
 
@@ -148,6 +148,34 @@ def test_output_file(tmp_path, capsys):
     assert [1, -24, 1] in data["terms"]
 
 
+@pytest.mark.parametrize("command", [
+    "hecke v --n 3", "hecke tj --p 3", "hecke thalf --p 3", "hecke t2 --p 2", "lift phi --D -3",
+    "lift psi",
+])
+@pytest.mark.parametrize("qbound", [0, 1, 6])
+def test_qbound_is_the_output_bound(capsys, command, qbound):
+    # --qbound Q emits an expansion complete below q^Q on every command
+    code, out, _ = run_cli(capsys, *command.split(), "--qbound", str(qbound))
+    data = json.loads(out)
+    assert code == 0 and data["qbound"] == qbound
+    assert qbound or data["terms"] == []
+
+
+@pytest.mark.parametrize("qbound", ["0", "1", "20"])
+def test_lift_psi_is_the_e21_expansion(capsys, qbound):
+    _, lifted, _ = run_cli(capsys, "lift", "psi", "--qbound", qbound)
+    _, expanded, _ = run_cli(capsys, "expand", "e21", "--qbound", qbound)
+    assert lifted == expanded
+
+
+def test_every_series_is_empty_at_qbound_zero(capsys):
+    for name in _SERIES_BUILDERS:
+        for mu in ("0", "1"):
+            _, out, _ = run_cli(capsys, "expand", name, "--qbound", "0", "--mu", mu)
+            data = json.loads(out)
+            assert (data["qbound"], data["terms"]) == (0, []), (name, mu)
+
+
 def test_verify_options_reach_the_config():
     parser = build_parser()
     cfg = _config(parser.parse_args(["verify", "numeric", "--precision", "44", "--qmax", "12"]))
@@ -218,7 +246,7 @@ GOLDEN = {
     "hecke tj --p 3 --qbound 10":
         "db4227311e71df63658ac12547307700e59abe6ee3940125b94c7df5a4db844f",
     "hecke t2 --p 2 --qbound 6 --literal-paper":
-        "08c85f3f6c4e4d2d263a7d9847b2309df8d8a5efd4f62fd14f0e3df878ec39a9",
+        "e8d4f34dbb52113e7e3c6e4ef4fc5edd7531689c44cda129a3ae8e5ee10dac47",
     "verify relations":
         "ef943812c3c21197d25ee6b6907d72f3a9068a8d87f8244fc018d9b184342a9d",
     "verify relations --literal-paper":
@@ -230,11 +258,13 @@ GOLDEN = {
     "classnum --max 100 --format csv":
         "42bdbdcc6e4517b302a6ce017dd9d4b294da6f137e51f220820dd17d6e9b87c9",
     "hecke v --n 3 --qbound 10":
-        "57f5fc6fc31937fe770bf9e1509c53c13bb7b0ab3414f020a6ea438546062ad8",
+        "1b0f488e8396c1322b0a86c7693f5ca8f6b5da1a5e6168c098db94c89affff8d",
     "lift psi --qbound 20":
-        "5db1928047996f69ac9c76a6ac343085e5b1ca31c7863f8278af25653ecef9da",
+        "9af56a60143a9ae523a3780fac7900315716e202e1f9b9b388bcd86e5fb7c96a",
     "lift phi --D -3 --qbound 6":
-        "de2be2ce742cc1d0fe3fc3a908813577f6a7f75b3cb4f4d49552d897f53ce6f5",
+        "d0cbdf7f7927b837bf481b7aebb2c5b4c1330bc1a59d5eb3eea3f7f22d6d1c7b",
+    "hecke thalf --p 3 --qbound 10":
+        "1088ee14f8405dc7a6599e6c197a298931aaf6c7cf40453aa9d65c0e0ad10dca",
     "verify eigen":
         "80ea40e6b0f3e38331a5b23499ea4ae0d6f0360b2f326cf734a7ed219c2dae93",
     "verify diagram":

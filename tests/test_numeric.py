@@ -302,6 +302,18 @@ def test_ray_factor_memo_keeps_values_exact():
         assert warm.component_integral(1, tau) == PeriodEvaluator(CFG).component_integral(1, tau)
 
 
+def test_period_memo_is_keyed_by_the_exact_tau():
+    # two taus that agree to 28 digits are still two points: a warm evaluator
+    # returns each one's own integral, bit for bit
+    with mp.workdps(CFG.dps):
+        tau = mp.mpc(0.2, 0.7)
+        near = tau + mp.mpc(0, "1e-29")
+        warm = PeriodEvaluator(CFG)
+        warm.component_integral(0, tau)
+        fresh = PeriodEvaluator(CFG).component_integral(0, near)
+        assert warm.component_integral(0, near) == fresh
+
+
 def test_period_value_matches_quadrature():
     # the transfer check cannot see P's normalization, so this comparison
     # with the independent quadrature pins it
