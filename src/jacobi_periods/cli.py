@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands mirror the library: exact expansions and Hecke actions, the
-class-number table, the lift square, and the verification suites.  All
-reports are emitted as JSON with sorted keys and sorted term lists, so
-identical invocations are byte-identical.  On `expand`, `hecke` and `lift`,
-`--qbound Q` emits an expansion complete below q^Q, with qbound Q; each
-input is built to the order such an output reads.  Exit codes: 0 on
-success/pass, 1 when a verification fails, 2 on usage errors.
+class-number table, the lift square, and the verification suites; each leaf
+(`hecke tj`, `verify numeric`, ...) takes only the options it reads.  Reports
+are JSON with sorted keys and sorted term lists, so identical invocations are
+byte-identical.  On `expand`, `hecke` and `lift`, `--qbound Q` emits an
+expansion complete below q^Q, with qbound Q; each input is built to the
+order such an output reads.  Exit codes: 0 on success/pass, 1 when a
+verification fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -54,34 +55,35 @@ def cmd_classnum(args) -> int:
 
 
 _SERIES_BUILDERS = {
-    "e21": lambda q, a: fourier.e21_expansion(q),
-    "theta0": lambda q, a: fourier.theta(0, q),
-    "theta1": lambda q, a: fourier.theta(1, q),
-    "e2": lambda q, a: fourier.e2_series(q),
-    "h32": lambda q, a: fourier.h32_series(q),
-    "hmu": lambda q, a: fourier.h_mu_series(a.mu, q),
+    "e21": lambda a: fourier.e21_expansion(a.qbound),
+    "theta0": lambda a: fourier.theta(0, a.qbound),
+    "theta1": lambda a: fourier.theta(1, a.qbound),
+    "e2": lambda a: fourier.e2_series(a.qbound),
+    "h32": lambda a: fourier.h32_series(a.qbound),
+    "hmu": lambda a: fourier.h_mu_series(a.mu, a.qbound),
 }
 
 
 def cmd_expand(args) -> int:
-    obj = _SERIES_BUILDERS[args.series](args.qbound, args)
-    _emit(obj.to_json_dict(), args)
+    _emit(_SERIES_BUILDERS[args.series](args).to_json_dict(), args)
     return EXIT_OK
 
 
 def cmd_hecke(args) -> int:
     q = args.qbound
     fourier._bound(q)  # named as given: the builders see only bounds derived from it
+    n = args.n if args.operator == "v" else args.p
+    if n < 1:  # refused before it scales any bound
+        raise DomainError(f"level must be >= 1, got {n}")
     if args.operator == "v":
-        out = fourier.apply_V(fourier.e21_expansion(q * args.n), args.n)
+        out = fourier.apply_V(fourier.e21_expansion(q * n), n)
     elif args.operator == "tj":
-        need = fourier.tj_needed_nmax(args.p, q - 1) + 1 if q else 0
-        out = fourier.apply_T_jacobi(fourier.e21_expansion(need), args.p)
+        need = fourier.tj_needed_nmax(n, q - 1) + 1 if q else 0
+        out = fourier.apply_T_jacobi(fourier.e21_expansion(need), n)
     elif args.operator == "thalf":
-        out = fourier.apply_T_half(fourier.h32_series(q * args.p**2), args.p)
+        out = fourier.apply_T_half(fourier.h32_series(q * n**2), n)
     else:  # t2
-        out = fourier.apply_T_weight2(fourier.e2_series(q * args.p), args.p,
-                                      literal=args.literal_paper)
+        out = fourier.apply_T_weight2(fourier.e2_series(q * n), n, literal=args.literal_paper)
     _emit(out.to_json_dict(), args)
     return EXIT_OK
 
@@ -90,9 +92,6 @@ def cmd_lift(args) -> int:
     q = args.qbound
     fourier._bound(q)
     if args.lift == "phi":
-        if args.D is None:
-            print("lift phi: --D is required", file=sys.stderr)
-            return EXIT_USAGE
         out = fourier.phi_lift(fourier.h32_series(q * q * abs(args.D)), args.D)
     else:
         out = fourier.psi_lift(fourier.h32_series(4 * q))
@@ -107,83 +106,74 @@ def _verify_report(name, passed, detail, args) -> int:
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def _given(value, default):
-    return default if value is None else value
+def verify_thetadecomp(args) -> int:
+    ok = fourier.theta_decomposition_check(args.qbound)
+    return _verify_report("theta_decomposition", ok, {"qbound": args.qbound}, args)
 
 
-def cmd_verify(args) -> int:
-    cfg = _config(args)
-    if args.suite == "thetadecomp":
-        qb = _given(args.qbound, 20)
-        ok = fourier.theta_decomposition_check(qb)
-        return _verify_report("theta_decomposition", ok, {"qbound": qb}, args)
+def verify_eigen(args) -> int:
+    qb, primes = args.qbound, [2, 3, 5] if args.p is None else [args.p]
+    fourier._bound(qb, 1)  # the output orders compared are 0..qb-1
+    detail, ok = {"qbound": qb, "primes": primes}, True
+    for p in primes:
+        f = fourier.e21_expansion(fourier.tj_needed_nmax(p, qb - 1) + 1)
+        good = fourier.apply_T_jacobi(f, p).equal_below(f.scaled_by(p + 1), qb)
+        detail[f"p{p}"] = "pass" if good else "fail"
+        ok = ok and good
+    return _verify_report("hecke_eigenvalue", ok, detail, args)
 
-    if args.suite == "eigen":
-        primes = [2, 3, 5] if args.p is None else [args.p]
-        qb = _given(args.qbound, 15)
-        fourier._bound(qb, 1)  # the output orders compared are 0..qb-1
-        detail, ok = {"qbound": qb, "primes": primes}, True
-        for p in primes:
-            need = fourier.tj_needed_nmax(p, qb - 1) + 1
-            f = fourier.e21_expansion(need)
-            out = fourier.apply_T_jacobi(f, p)
-            good = out.equal_below(f.scaled_by(p + 1), qb)
-            detail[f"p{p}"] = "pass" if good else "fail"
-            ok = ok and good
-        return _verify_report("hecke_eigenvalue", ok, detail, args)
 
-    if args.suite == "diagram":
-        qb = _given(args.qbound, 12)
-        detail, ok = {"qbound": qb}, True
-        for p in (2, 3) if args.p is None else [args.p]:
-            for D in (-3, -4) if args.D is None else [args.D]:
-                rep = fourier.diagram_check(p, D, qb, literal_weight2=args.literal_paper)
-                detail[f"p{p}_D{D}"] = "pass" if rep["ok"] else "fail"
-                ok = ok and rep["ok"]
-        return _verify_report("lift_diagram", ok, detail, args)
+def verify_diagram(args) -> int:
+    detail, ok = {"qbound": args.qbound}, True
+    for p in (2, 3) if args.p is None else [args.p]:
+        for D in (-3, -4) if args.D is None else [args.D]:
+            rep = fourier.diagram_check(p, D, args.qbound, literal_weight2=args.literal_paper)
+            detail[f"p{p}_D{D}"] = "pass" if rep["ok"] else "fail"
+            ok = ok and rep["ok"]
+    return _verify_report("lift_diagram", ok, detail, args)
 
-    if args.suite == "groupring":
-        n = _given(args.n, 2)
-        rep = group_ring.check_theorem_congruence(n)
-        return _verify_report("theorem_congruence", rep.pop("ok"),
-                              {"n": n, **{k: bool(v) for k, v in rep.items()}}, args)
 
-    if args.suite == "product":
-        n, n2, k = _given(args.n, 2), _given(args.np, 3), _given(args.k, 2)
-        rep = group_ring.check_product_formula(n, n2, k)
-        ok = rep.pop("ok")
-        return _verify_report("product_formula", ok, {"n": n, "np": n2, "k": k, **rep}, args)
+def verify_groupring(args) -> int:
+    rep = group_ring.check_theorem_congruence(args.n)
+    return _verify_report("theorem_congruence", rep.pop("ok"),
+                          {"n": args.n, **{k: bool(v) for k, v in rep.items()}}, args)
 
-    if args.suite == "relations":
-        if args.literal_paper:
-            S, T = jacobi_group.generator("S"), jacobi_group.generator("T")
-            lit = jacobi_group.compose_literal_subscriptfree
-            a, b, c = S, T, jacobi_group.generator("I2")
-            assoc = lit(lit(a, b), c) == lit(a, lit(b, c))
-            return _verify_report("group_relations_literal_law", assoc,
-                                  {"associative": assoc,
-                                   "note": "subscript-free lattice law"}, args)
-        rep = jacobi_group.check_relations()
-        return _verify_report("group_relations", all(rep.values()),
-                              {k: bool(v) for k, v in rep.items()}, args)
 
-    if args.suite == "theorem1":
-        check = numeric.CHECKS["theorem1"]
-        detail, ok = {"tol": check.gate}, True
-        for n in [2, 3] if args.n is None else [args.n]:
-            rep = check.run(cfg, n)
-            detail[f"n{n}_max_abs_error"] = rep[check.key]
-            ok = ok and rep[check.key] < check.gate
-        return _verify_report("index_raising_transfer", ok, detail, args)
+def verify_product(args) -> int:
+    rep = group_ring.check_product_formula(args.n, args.np, args.k)
+    return _verify_report("product_formula", rep.pop("ok"),
+                          {"n": args.n, "np": args.np, "k": args.k, **rep}, args)
 
-    # args.suite == "numeric": every floating check but theorem1 (its own suite)
-    suite = [name for name in numeric.CHECKS if name != "theorem1"]
-    selected = [args.check] if args.check else suite
-    reports, ok = [], True
-    for name in selected:
-        if name not in suite:
-            print(f"verify numeric: unknown check {name!r}", file=sys.stderr)
-            return EXIT_USAGE
+
+def verify_relations(args) -> int:
+    if args.literal_paper:
+        a, b, c = (jacobi_group.generator(name) for name in ("S", "T", "I2"))
+        lit = jacobi_group.compose_literal_subscriptfree
+        assoc = lit(lit(a, b), c) == lit(a, lit(b, c))
+        return _verify_report("group_relations_literal_law", assoc,
+                              {"associative": assoc, "note": "subscript-free lattice law"}, args)
+    rep = jacobi_group.check_relations()
+    return _verify_report("group_relations", all(rep.values()),
+                          {k: bool(v) for k, v in rep.items()}, args)
+
+
+def verify_theorem1(args) -> int:
+    cfg, check = _config(args), numeric.CHECKS["theorem1"]
+    detail, ok = {"tol": check.gate}, True
+    for n in [2, 3] if args.n is None else [args.n]:
+        rep = check.run(cfg, n)
+        detail[f"n{n}_max_abs_error"] = rep[check.key]
+        ok = ok and rep[check.key] < check.gate
+    return _verify_report("index_raising_transfer", ok, detail, args)
+
+
+# `verify numeric` runs every floating check but theorem1 (its own suite)
+_NUMERIC_SUITE = [name for name in numeric.CHECKS if name != "theorem1"]
+
+
+def verify_numeric(args) -> int:
+    cfg, reports, ok = _config(args), [], True
+    for name in [args.check] if args.check else _NUMERIC_SUITE:
         check = numeric.CHECKS[name]
         rep = check.run(cfg, args.p)
         passed = rep[check.key] < check.gate
@@ -195,6 +185,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _commands(sub, name, dest, help):
+    """The subcommands of `name`; the one given is stored as args.<dest>."""
+    return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+
+def _leaf(sub, name, func, help=None, **options):
+    """Add the command `name`, run by `func`, with one option per keyword
+    (`quad_nodes` is `--quad-nodes`): an int or None is an integer option
+    with that default, a dict holds add_argument's own settings."""
+    p = sub.add_parser(name, help=help)
+    for dest, spec in options.items():
+        p.add_argument("--" + dest.replace("_", "-"),
+                       **(spec if isinstance(spec, dict) else {"type": int, "default": spec}))
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobi-periods",
@@ -204,50 +210,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the report to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classnum", help="emit the Hurwitz class-number table")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_classnum)
+    _leaf(sub, "classnum", cmd_classnum, "emit the Hurwitz class-number table",
+          max={"type": int, "required": True},
+          format={"choices": ("json", "csv"), "default": "json"})
 
-    p = sub.add_parser("expand", help="emit a standard expansion as JSON")
-    p.add_argument("series", choices=sorted(_SERIES_BUILDERS))
-    p.add_argument("--qbound", type=int, default=10)
-    p.add_argument("--mu", type=int, choices=(0, 1), default=0)
-    p.set_defaults(func=cmd_expand)
+    series = _commands(sub, "expand", "series", "emit a standard expansion as JSON")
+    for name in sorted(_SERIES_BUILDERS):
+        mu = {"mu": {"type": int, "choices": (0, 1), "default": 0}} if name == "hmu" else {}
+        _leaf(series, name, cmd_expand, qbound=10, **mu)
 
-    p = sub.add_parser("hecke", help="apply a Hecke operator to the standard series")
-    p.add_argument("operator", choices=("v", "tj", "thalf", "t2"))
-    p.add_argument("--n", type=int, default=2, help="index-raising level (v)")
-    p.add_argument("--p", type=int, default=2, help="prime for tj/thalf/t2")
-    p.add_argument("--qbound", type=int, default=10)
-    p.add_argument("--literal-paper", action="store_true",
-                   help="use the d^-4 lower-term exponent in t2")
-    p.set_defaults(func=cmd_hecke)
+    ops = _commands(sub, "hecke", "operator", "apply a Hecke operator to the standard series")
+    _leaf(ops, "v", cmd_hecke, "index-raising V_n", n=2, qbound=10)
+    _leaf(ops, "tj", cmd_hecke, "index-preserving T_p", p=2, qbound=10)
+    _leaf(ops, "thalf", cmd_hecke, "weight-3/2 T_{p^2}", p=2, qbound=10)
+    _leaf(ops, "t2", cmd_hecke, "weight-2 T_p", p=2, qbound=10,
+          literal_paper={"action": "store_true", "help": "use the d^-4 lower-term exponent"})
 
-    p = sub.add_parser("lift", help="lift the class-number series")
-    p.add_argument("lift", choices=("phi", "psi"))
-    p.add_argument("--D", type=int, help="negative fundamental discriminant (phi)")
-    p.add_argument("--qbound", type=int, default=10)
-    p.set_defaults(func=cmd_lift)
+    lifts = _commands(sub, "lift", "lift", "lift the class-number series")
+    _leaf(lifts, "phi", cmd_lift, D={"type": int, "required": True,
+                                     "help": "negative fundamental discriminant"}, qbound=10)
+    _leaf(lifts, "psi", cmd_lift, qbound=10)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("thetadecomp", "eigen", "diagram", "groupring",
-                                     "product", "relations", "numeric", "theorem1"))
-    p.add_argument("--qbound", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--np", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--D", type=int)
-    p.add_argument("--check", help="restrict the numeric suite to one check")
-    defaults = numeric.DEFAULT_CONFIG
-    p.add_argument("--qmax", type=int, default=defaults.qmax)
-    p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=defaults.quad_nodes)
-    p.add_argument("--tol", type=float, default=defaults.tol)
-    p.add_argument("--precision", type=int, default=defaults.dps)
-    p.add_argument("--literal-paper", action="store_true",
-                   help="demonstrate the documented source discrepancies")
-    p.set_defaults(func=cmd_verify)
+    suites = _commands(sub, "verify", "suite", "run a verification suite")
+    literal = {"action": "store_true", "help": "demonstrate the documented source discrepancy"}
+    d = numeric.DEFAULT_CONFIG
+    config = {"qmax": d.qmax, "quad_nodes": d.quad_nodes, "precision": d.dps,
+              "tol": {"type": float, "default": d.tol}}
+    _leaf(suites, "thetadecomp", verify_thetadecomp, qbound=20)
+    _leaf(suites, "eigen", verify_eigen, p=None, qbound=15)
+    _leaf(suites, "diagram", verify_diagram, p=None, D=None, qbound=12, literal_paper=literal)
+    _leaf(suites, "groupring", verify_groupring, n=2)
+    _leaf(suites, "product", verify_product, n=2, np=3, k=2)
+    _leaf(suites, "relations", verify_relations, literal_paper=literal)
+    _leaf(suites, "numeric", verify_numeric, p=None, **config,
+          check={"choices": _NUMERIC_SUITE, "help": "run only this check"})
+    _leaf(suites, "theorem1", verify_theorem1, n=None, **config)
     return parser
 
 

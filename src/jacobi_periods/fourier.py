@@ -49,6 +49,15 @@ class _Expansion:
     keys carry the scaled q-exponent: `_exponent(key)` reads it and
     `_rekey(key, m)` multiplies it by m."""
 
+    def __post_init__(self):
+        """Adopts the `coeffs` dict given and normalizes it in place (zero values
+        dropped, the others made `_exact`), so no copy of it is held."""
+        self.qbound = _num(self.qbound)
+        for key in [key for key, c in self.coeffs.items() if not c]:
+            del self.coeffs[key]
+        for key, c in self.coeffs.items():
+            self.coeffs[key] = _exact(c)
+
     def rescaled(self, new_scale: int):
         if new_scale % self.scale:
             raise DomainError("new scale must be a multiple of the old one")
@@ -94,10 +103,6 @@ class QSeries(_Expansion):
     _exponent = staticmethod(lambda n: n)
     _rekey = staticmethod(lambda n, m: n * m)
 
-    def __post_init__(self):
-        self.qbound = _num(self.qbound)
-        self.coeffs = {n: _exact(c) for n, c in self.coeffs.items() if c}
-
     def coeff(self, n_scaled: int) -> int | Fraction:
         return self.coeffs.get(n_scaled, 0)
 
@@ -127,10 +132,8 @@ class JacobiExpansion(_Expansion):
     _rekey = staticmethod(lambda key, m: (key[0] * m, key[1]))
 
     def __post_init__(self):
-        self.weight = _num(self.weight)
-        self.index = _num(self.index)
-        self.qbound = _num(self.qbound)
-        self.coeffs = {k: _exact(c) for k, c in self.coeffs.items() if c}
+        self.weight, self.index = _num(self.weight), _num(self.index)
+        super().__post_init__()
 
     def coeff(self, n_scaled: int, r: int) -> int | Fraction:
         return self.coeffs.get((n_scaled, r), 0)
@@ -274,10 +277,8 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
     a^(k-1) c(n*ell/a^2, r/a); index becomes index*ell."""
     _require_integral(f, "apply_V")
     if ell < 1:
-        raise DomainError("ell must be >= 1")
+        raise DomainError(f"ell must be >= 1, got {ell}")
     k = int(f.weight)
-    if ell == 1:
-        return JacobiExpansion(f.weight, f.index, 1, dict(f.coeffs), f.qbound)
     by_n: dict[int, list] = {}
     for (n, r), c in f.coeffs.items():
         by_n.setdefault(n, []).append((r, c))
@@ -297,6 +298,8 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
 
 def tj_needed_nmax(n: int, N: int) -> int:
     """Largest input exponent a complete output coefficient at q^N can read."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if N < 0:
         raise DomainError(f"the output order must be >= 0, got {N}")
     return n * n * (N + isqrt(4 * N) * (n - 1) + (n - 1) ** 2)
@@ -319,17 +322,13 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     _require_integral(f, "apply_T_jacobi")
     if f.index != 1:
         raise DomainError("only index 1 is supported")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    q_out = 0
+    while tj_needed_nmax(n, q_out) < f.qbound:  # refuses n < 1
+        q_out += 1
     k = int(f.weight)
     dmin = f.min_discriminant()
     if dmin is not None and dmin < 0:
         raise DomainError("input support must satisfy 4n - r^2 >= 0")
-    if n == 1:
-        return JacobiExpansion(f.weight, 1, 1, dict(f.coeffs), f.qbound)
-    q_out = 0
-    while tj_needed_nmax(n, q_out) < f.qbound:
-        q_out += 1
     den = n ** 3 if k >= 0 else n ** (3 - 2 * k)
     sums: dict[tuple[int, int], int | Fraction] = {}
     for a in divisors(n * n):
@@ -376,7 +375,7 @@ def apply_T_half(h: QSeries, p: int) -> QSeries:
     if h.scale != 1:
         raise DomainError("scale-1 series required")
     if p < 1:
-        raise DomainError("p must be >= 1")
+        raise DomainError(f"p must be >= 1, got {p}")
     for n in h.coeffs:
         if n % 4 in (1, 2):
             raise DomainError("support must lie in N = 0, 3 mod 4")
@@ -402,7 +401,7 @@ def apply_T_weight2(e: QSeries, p: int, literal: bool = False) -> QSeries:
     if e.scale != 1:
         raise DomainError("scale-1 series required")
     if p < 1:
-        raise DomainError("p must be >= 1")
+        raise DomainError(f"p must be >= 1, got {p}")
     q_out = _orders_below(e.qbound, p)
     upper = Fraction(1, p * p) if literal else 1
     coeffs = {}

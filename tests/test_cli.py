@@ -169,11 +169,30 @@ def test_lift_psi_is_the_e21_expansion(capsys, qbound):
 
 
 def test_every_series_is_empty_at_qbound_zero(capsys):
-    for name in _SERIES_BUILDERS:
-        for mu in ("0", "1"):
-            _, out, _ = run_cli(capsys, "expand", name, "--qbound", "0", "--mu", mu)
-            data = json.loads(out)
-            assert (data["qbound"], data["terms"]) == (0, []), (name, mu)
+    for argv in [[name] for name in _SERIES_BUILDERS] + [["hmu", "--mu", "1"]]:
+        _, out, _ = run_cli(capsys, "expand", *argv, "--qbound", "0")
+        data = json.loads(out)
+        assert (data["qbound"], data["terms"]) == (0, []), argv
+
+
+@pytest.mark.parametrize("command", [
+    "verify groupring --precision 50 --D 7",
+    "verify relations --qbound 3 --check nope",
+    "verify thetadecomp --literal-paper",
+    "verify numeric --check beta --n 9",
+    "verify numeric --check nope",
+    "verify eigen --tol nan",
+    "verify --n 3 groupring",
+    "expand e21 --mu 1",
+    "hecke tj --n 3",
+    "hecke v --literal-paper",
+    "lift psi --D -3",
+])
+def test_foreign_options_are_usage_errors(capsys, command):
+    # each leaf command accepts only the options it reads, after its own name;
+    # any other is refused by the parser, before a suite runs
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out) == (2, "") and err.startswith("usage: jacobi-periods")
 
 
 def test_verify_options_reach_the_config():
@@ -219,6 +238,22 @@ def test_eigen_qbound_is_named_as_given(capsys):
     # qbound 0 would compare no order; the derived output order is -1
     code, out, err = run_cli(capsys, "verify", "eigen", "--qbound", "0")
     assert (code, out) == (2, "") and err == "error: qbound must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("hecke v --n -1", "level must be >= 1, got -1"),
+    ("hecke v --n 0", "level must be >= 1, got 0"),
+    ("hecke t2 --p -1", "level must be >= 1, got -1"),
+    ("hecke t2 --p 0", "level must be >= 1, got 0"),
+    ("hecke thalf --p 0", "level must be >= 1, got 0"),
+    ("hecke tj --p 0", "level must be >= 1, got 0"),
+    ("verify eigen --p -5", "n must be >= 1, got -5"),
+    ("verify diagram --p -5", "n must be >= 1, got -5"),
+])
+def test_hecke_level_is_named_as_given(capsys, command, message):
+    # the level is checked before it scales any bound
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("suite", ["diagram", "thetadecomp"])

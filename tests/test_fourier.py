@@ -203,6 +203,30 @@ def test_apply_T_weight2_literal_variant_breaks_eigenvalue():
     assert out.coeff(0) != 3
 
 
+@pytest.mark.parametrize("apply", [apply_V, apply_T_jacobi])
+def test_level_one_is_the_identity(apply):
+    for q in (0, 1, 5, 20):
+        f = e21_expansion(q)
+        out = apply(f, 1)
+        assert out == f and all(type(c) is int for c in out.coeffs.values())
+    # an input complete below 9/2 gives an output complete to the order 4 it holds
+    assert apply(JacobiExpansion(2, 1, 1, e21_expansion(5).coeffs, Fraction(9, 2)),
+                 1) == e21_expansion(5)
+    for k in (4, -2):
+        f = JacobiExpansion(k, 1, 1, {(0, 0): 1, (1, 1): Fraction(2, 3), (4, 0): 5}, 17)
+        assert apply(f, 1) == f
+
+
+def test_constructors_adopt_and_normalize_the_coefficient_dict():
+    for make, keys in ((lambda c: QSeries(1, c, 5), range(5)),
+                       (lambda c: JacobiExpansion(2, 1, 1, c, 5), [(n, 0) for n in range(5)])):
+        given = dict(zip(keys, (Fraction(4, 2), 0, Fraction(1, 3), Fraction(0), 5)))
+        coeffs = make(given).coeffs
+        assert coeffs is given
+        assert list(coeffs.items()) == [(keys[0], 2), (keys[2], Fraction(1, 3)), (keys[4], 5)]
+        assert [type(c) for c in coeffs.values()] == [int, Fraction, int]
+
+
 def test_apply_V_identity_and_spot_values():
     f = e21_expansion(20)
     assert apply_V(f, 1).coeffs == f.coeffs
