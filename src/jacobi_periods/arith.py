@@ -143,11 +143,16 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def require_negative_fundamental(d: int) -> None:
+    """Raise `DomainError` unless d is a negative fundamental discriminant."""
+    if d >= 0 or not is_fundamental_discriminant(d):
+        raise DomainError(f"{d} is not a negative fundamental discriminant")
+
+
 def l_zero_chi(d: int) -> Fraction:
     """L(0, (d/.)) for a fundamental discriminant d < 0, via the finite sum
     -(1/|d|) * sum_{a=1}^{|d|} (d/a) * a."""
-    if d >= 0 or not is_fundamental_discriminant(d):
-        raise DomainError(f"{d} is not a negative fundamental discriminant")
+    require_negative_fundamental(d)
     total = sum(kronecker(d, a) * a for a in range(1, -d + 1))
     return Fraction(-total, -d)
 

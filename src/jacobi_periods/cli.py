@@ -92,6 +92,7 @@ def cmd_lift(args) -> int:
     q = args.qbound
     fourier._bound(q)
     if args.lift == "phi":
+        arith.require_negative_fundamental(args.D)  # before the series is built
         out = fourier.phi_lift(fourier.h32_series(q * q * abs(args.D)), args.D)
     else:
         out = fourier.psi_lift(fourier.h32_series(4 * q))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, gcd, isqrt
 
-from .arith import divisors, hurwitz, is_fundamental_discriminant, kronecker, l_zero_chi, moebius, sigma
+from .arith import divisors, hurwitz, kronecker, l_zero_chi, moebius, require_negative_fundamental, sigma
 from .errors import DomainError
 
 
@@ -426,8 +426,7 @@ def phi_lift(c: QSeries, disc: int) -> QSeries:
     On the class-number series the constant term -12 c(0) equals 1; writing
     it through c(0) rather than as a literal 1 is what makes the lift commute
     with the Hecke actions on both sides of the lifting square."""
-    if disc >= 0 or not is_fundamental_discriminant(disc):
-        raise DomainError(f"{disc} is not a negative fundamental discriminant")
+    require_negative_fundamental(disc)
     if c.scale != 1:
         raise DomainError("scale-1 series required")
     if any(n < 0 for n in c.coeffs):
@@ -477,6 +476,7 @@ def diagram_check(p: int, disc: int, qbound: int, literal_weight2: bool = False)
     followed by either lift agrees with the lift followed by the weight-2
     resp. index-1 Hecke action, below qbound."""
     _bound(qbound, 1)
+    require_negative_fundamental(disc)  # before the series is built
     absd = -disc
     need_phi = p * p * (qbound - 1) ** 2 * absd + 1
     need_psi = 4 * ((qbound - 1) * p * p) + 1

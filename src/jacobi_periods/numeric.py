@@ -35,10 +35,11 @@ Conventions fixed by computation rather than assumption:
   first asks that R' be a Hecke eigenfunction modulo the ideal and the
   second compares against E|V_n from `e21_value`.  `PeriodEvaluator` keeps
   the quadrature of the integral above as the independent oracle of the
-  checks that the closed form would make tautologies; it is about fifty
-  times slower than the closed form at an evaluator's first tau and ten
-  times at each further tau, which reuses the ray theta factors; its memos
-  are keyed by the exact tau or node and the precision.  With
+  checks that the closed form would make tautologies.  It is sixty to
+  a hundred times slower than the closed form at a process's first tau and
+  ten times at each further tau, on any evaluator, which reuses the
+  process-wide ray theta factors; its memos are keyed by the exact tau or
+  node and the precision.  With
   the closed form the transformation law would reduce to phi|T = phi, the
   four-term relation would telescope to R'|T^4 - R', and the extended
   relation would reduce to the lattice invariance of R'.  A test compares
@@ -53,13 +54,18 @@ tests read the gates from there.  Each check states its identity as a
 residual function, and `_worst` takes its largest magnitude over the points.
 
 All evaluations are pure; sums over Hecke terms are reduced by a fixed
-pairwise tree so results are bit-stable for a given configuration.
+pairwise tree so results are bit-stable for a given configuration.  One
+evaluation of a slash sum computes each tau-only factor (the completion and
+the class-number components) once per image tau, from a memo that lives only
+as long as that evaluation.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -252,12 +258,36 @@ def slash_ring_term(fval, e, k, m):
     return slash(fval, g, k, m)
 
 
+# The memo of the slash sum being evaluated, None outside one: the tau-only
+# factors `completion_term` and `_h_mu_value` keyed by their arguments, the
+# exact tau and the precision.  All lattice points of one matrix map to the
+# same image tau, so each factor is computed once per image.
+_SUM_MEMO: ContextVar[dict | None] = ContextVar("_SUM_MEMO", default=None)
+
+
+def _per_sum(fn, *args):
+    """fn(*args) at the active precision, read from the open slash sum's memo
+    if there is one; a hit is bit-identical to a fresh evaluation."""
+    memo = _SUM_MEMO.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, args, mp.mp.prec)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
 def slash_formal_sum(fval, f: FormalSum, k, m):
-    """Sum of the slashes over a formal sum's terms, pairwise-reduced."""
+    """Sum of the slashes over a formal sum's terms, pairwise-reduced; one
+    evaluation opens the memo `_SUM_MEMO` for its length."""
     parts = [(slash_ring_term(fval, e, k, m), c) for e, c in f.sorted_terms()]
 
     def acted(tau, z):
-        return pairwise_sum(c * fn(tau, z) for fn, c in parts)
+        token = _SUM_MEMO.set({})
+        try:
+            return pairwise_sum(c * fn(tau, z) for fn, c in parts)
+        finally:
+            _SUM_MEMO.reset(token)
 
     return acted
 
@@ -323,8 +353,12 @@ def beta_fn_quadrature(x, cfg: NumericConfig = DEFAULT_CONFIG):
 
 def completion_term(mu: int, tau):
     """v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v) q^(-l^2/4); the
-    nonholomorphic completion component attached to the class numbers."""
-    tau = mp.mpc(tau)
+    nonholomorphic completion component attached to the class numbers, once
+    per slash sum (`_per_sum`)."""
+    return _per_sum(_completion_series, mu, mp.mpc(tau))
+
+
+def _completion_series(mu: int, tau):
     v = mp.im(tau)
     total = mp.mpc(0)
     l = mu
@@ -337,14 +371,36 @@ def completion_term(mu: int, tau):
     return total / mp.sqrt(v)
 
 
+# The ray theta factors of `PeriodEvaluator`, per (piece, mu, precision) and
+# exact quadrature node, shared by every evaluator of the process.  They do not
+# depend on tau, and the nodes are those of mpmath's tanh-sinh rule, whose own
+# process-wide cache keeps them per (degree, precision): this memo grows as
+# that one does, with each new precision or degree, and never with new taus.
+_RAY: dict = {}
+
+
+def _ray_theta(piece: str, mu: int, node):
+    """The real theta factor of a ray piece at its quadrature node:
+    theta_mu(i t, 0) at the upper node t, and theta_0(i/(4u^2), mu/4) =
+    (2u^2)^(1/2) theta_mu(i u^2, 0), the theta inversion, at the lower node u."""
+    memo = _RAY.setdefault((piece, mu, mp.mp.prec), {})
+    value = memo.get(node)
+    if value is None:
+        theta = (theta_value(mu, 1j * node, 0) if piece == "upper"
+                 else theta_value(0, 1j / (4 * node * node), mp.mpf(mu) / 4))
+        value = memo[node] = theta.real
+    return value
+
+
 class PeriodEvaluator:
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
-    component integrals along the ray (0, i inf).  Integral values are memoized
-    per (mu, exact tau, precision), and the ray theta factors, which do not
-    depend on tau and are read from `theta_value`, per exact quadrature node:
-    `mp.quad` reuses its tanh-sinh nodes, so a new tau recomputes only the
-    powers (tau + i t)^(-3/2) and the two theta_mu(tau, z).  Both memos live
-    with the instance; a hit is bit-identical to a fresh evaluation.
+    component integrals along the ray (0, i inf).  Both integrals at a tau are
+    computed together and memoized per (exact tau, precision) with the
+    instance; they share the quadrature nodes, so each kernel power
+    (tau + i t)^(-3/2) is computed once for both.  The ray theta factors come
+    from the process-wide memo `_RAY`, so a new tau recomputes only the kernel
+    powers and the two theta_mu(tau, z).  A hit is bit-identical to a fresh
+    evaluation.
 
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
@@ -353,44 +409,39 @@ class PeriodEvaluator:
     def __init__(self, cfg: NumericConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         self._cache: dict = {}
-        self._ray: dict = {}
-
-    def _ray_theta(self, piece: str, mu: int, node):
-        """The real theta factor of a ray piece at its quadrature node,
-        memoized per (piece, mu, precision) and node: theta_mu(i t, 0) at the
-        upper node t, and theta_0(i/(4u^2), mu/4) = (2u^2)^(1/2)
-        theta_mu(i u^2, 0), the theta inversion, at the lower node u."""
-        memo = self._ray.setdefault((piece, mu, mp.mp.prec), {})
-        value = memo.get(node)
-        if value is None:
-            theta = (theta_value(mu, 1j * node, 0) if piece == "upper"
-                     else theta_value(0, 1j / (4 * node * node), mp.mpf(mu) / 4))
-            value = memo[node] = theta.real
-        return value
 
     def component_integral(self, mu: int, tau):
         """int_0^{i inf} (tau + w)^(-3/2) theta_mu(w, 0) dw, split at w = i
         with the theta inversion taming the w -> 0 endpoint."""
         tau = mp.mpc(tau)
-        key = (mu, tau, mp.mp.prec)
-        if key in self._cache:
-            return self._cache[key]
+        key = (tau, mp.mp.prec)
+        if key not in self._cache:
+            self._cache[key] = self._integrals(tau)
+        return self._cache[key][mu]
+
+    def _integrals(self, tau):
+        """The component integrals at tau for mu = 0 and 1."""
         p32 = mp.mpf(-1.5)
-        # theta_mu(i t, 0) tends to 1 - mu as t -> inf; the limit integrates to
-        # 2 (tau + i)^(-1/2) in closed form, and theta minus it is exponentially
-        # small for t >= 1
-        limit = 1 - mu
-        upper = limit * 2 / mp.sqrt(tau + 1j) + 1j * mp.quad(
-            lambda t: (tau + 1j * t) ** p32 * (self._ray_theta("upper", mu, t) - limit),
-            [1, mp.inf], maxdegree=self.cfg.quad_nodes)
-        # lower piece via t = u^2 and the theta inversion: the integrand
-        # (tau + i u^2)^(-3/2) (2 u^2)^(1/2) theta_mu(i u^2, 0) is smooth on [0, 1]
-        lower = 1j * mp.sqrt(2) * mp.quad(
-            lambda u: (tau + 1j * u * u) ** p32 * self._ray_theta("lower", mu, u)
-            if u > 0 else tau**p32,
-            [0, 1], maxdegree=self.cfg.quad_nodes)
-        val = self._cache[key] = upper + lower
-        return val
+        upper_kernel = cache(lambda t: (tau + 1j * t) ** p32)
+        lower_kernel = cache(lambda u: (tau + 1j * u * u) ** p32)
+        out = []
+        for mu in (0, 1):
+            # theta_mu(i t, 0) tends to 1 - mu as t -> inf; the limit integrates
+            # to 2 (tau + i)^(-1/2) in closed form, and theta minus it is
+            # exponentially small for t >= 1
+            limit = 1 - mu
+            upper = limit * 2 / mp.sqrt(tau + 1j) + 1j * mp.quad(
+                lambda t: upper_kernel(t) * (_ray_theta("upper", mu, t) - limit),
+                [1, mp.inf], maxdegree=self.cfg.quad_nodes)
+            # lower piece via t = u^2 and the theta inversion: the integrand
+            # (tau + i u^2)^(-3/2) (2 u^2)^(1/2) theta_mu(i u^2, 0) is smooth on
+            # [0, 1]
+            lower = 1j * mp.sqrt(2) * mp.quad(
+                lambda u: lower_kernel(u) * _ray_theta("lower", mu, u)
+                if u > 0 else tau**p32,
+                [0, 1], maxdegree=self.cfg.quad_nodes)
+            out.append(upper + lower)
+        return out
 
     def __call__(self, tau, z):
         with mp.workdps(self.cfg.dps):
@@ -430,7 +481,11 @@ def eichler_theta_integral(mu: int, tau, cfg: NumericConfig = DEFAULT_CONFIG):
 
 def _h_mu_value(mu: int, tau, cfg):
     """The class-number component h_mu(tau), truncated where q^Q drops below
-    10^-(dps+3), and never below cfg.qmax."""
+    10^-(dps+3), and never below cfg.qmax; once per slash sum (`_per_sum`)."""
+    return _per_sum(_h_mu_series_value, mu, mp.mpc(tau), cfg)
+
+
+def _h_mu_series_value(mu: int, tau, cfg):
     v = mp.im(tau)
     qbound = max(cfg.qmax, int(mp.ceil((cfg.dps + 3) * mp.log(10) / (2 * mp.pi * v))))
     return eval_expansion(h_mu_series(mu, qbound), EvalPoint(tau), cfg)[0]

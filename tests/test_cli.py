@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from jacobi_periods import fourier
 from jacobi_periods.cli import _SERIES_BUILDERS, _config, build_parser, main
 from jacobi_periods.numeric import NumericConfig
 
@@ -263,6 +264,21 @@ def test_diagram_and_thetadecomp_qbound_is_named_as_given(capsys, suite, qbound)
     assert (code, out) == (2, "") and err == f"error: qbound must be >= 1, got {qbound}\n"
 
 
+@pytest.mark.parametrize("command", [
+    "lift phi --D -400 --qbound 30",
+    "lift phi --D 400 --qbound 30",
+    "verify diagram --D -400 --p 5",
+])
+def test_bad_discriminant_is_refused_before_any_series_is_built(capsys, monkeypatch, command):
+    def no_series(qbound):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(fourier, "h32_series", no_series)
+    code, out, err = run_cli(capsys, *command.split())
+    D = command.split()[command.split().index("--D") + 1]
+    assert (code, out, err) == (2, "", f"error: {D} is not a negative fundamental discriminant\n")
+
+
 @pytest.mark.parametrize("option, want", [
     (("--p", "5"), ["p5_D-3", "p5_D-4"]),
     (("--D", "-4"), ["p2_D-4", "p3_D-4"]),
@@ -304,6 +320,12 @@ GOLDEN = {
         "80ea40e6b0f3e38331a5b23499ea4ae0d6f0360b2f326cf734a7ed219c2dae93",
     "verify diagram":
         "5ee69cc0cf2e5441c9d892e85cbae436644dbd51bb621dfd3c6a91de2680b261",
+    "verify numeric":
+        "10b02294e798039b171f5b53769b0309bd096bb3ad929fb5f272892024a42cea",
+    "verify numeric --check transfer --p 3":
+        "823a1fc1692ee1c273080742229afd75a873dcfb82e927fcf7f23c18a96e47bd",
+    "verify theorem1":
+        "9f51beff0fa162b989ec928d6c649e396f0cc06e418f97163159c935656a6208",
 }
 
 

@@ -17,6 +17,7 @@ from jacobi_periods.fourier import (
     theta,
     tj_needed_nmax,
 )
+from jacobi_periods.group_ring import tilde_T
 from jacobi_periods.jacobi_group import JacobiGroupElement, generator
 from jacobi_periods.numeric import (
     CHECKS,
@@ -42,6 +43,7 @@ from jacobi_periods.numeric import (
     period_value,
     phi_value,
     slash,
+    slash_formal_sum,
     theta_value,
     v_sum_value,
 )
@@ -276,6 +278,7 @@ def test_period_evaluator_reuses_the_ray_factors(monkeypatch):
         return theta(mu, tau, z)
 
     monkeypatch.setattr(numeric, "theta_value", counting)
+    monkeypatch.setattr(numeric, "_RAY", {})
     P = PeriodEvaluator(CFG)
     first, second = DEFAULT_POINTS[:2]
     P(first.tau, first.z)
@@ -286,20 +289,97 @@ def test_period_evaluator_reuses_the_ray_factors(monkeypatch):
     # is evaluated
     P(second.tau, second.z)
     assert calls[seen:] == [0, 1]
+    # the ray factors are shared by every evaluator: a fresh one at a new
+    # tau evaluates only theta_mu(tau, z) as well
+    seen = len(calls)
+    third = DEFAULT_POINTS[2]
+    PeriodEvaluator(CFG)(third.tau, third.z)
+    assert calls[seen:] == [0, 1]
 
 
-def test_ray_factor_memo_keeps_values_exact():
+def test_ray_factor_memo_keeps_values_exact(monkeypatch):
     warm = PeriodEvaluator(CFG)
     warm(0.1j, complex(0.3, 0.05))
     for pt in DEFAULT_POINTS:
-        assert warm(pt.tau, pt.z) == PeriodEvaluator(CFG)(pt.tau, pt.z), pt
-    # the memo is keyed by precision: a value computed at 30 digits is never
-    # read back at 45
+        value = warm(pt.tau, pt.z)
+        monkeypatch.setattr(numeric, "_RAY", {})  # a cold process
+        assert value == PeriodEvaluator(CFG)(pt.tau, pt.z), pt
+    # the memos are keyed by precision: a value computed at 30 digits is
+    # never read back at 45
     tau = mp.mpc(0.2, 0.7)
     with mp.workdps(30):
         warm.component_integral(1, tau)
     with mp.workdps(45):
-        assert warm.component_integral(1, tau) == PeriodEvaluator(CFG).component_integral(1, tau)
+        value = warm.component_integral(1, tau)
+        monkeypatch.setattr(numeric, "_RAY", {})
+        assert value == PeriodEvaluator(CFG).component_integral(1, tau)
+
+
+def test_both_component_integrals_come_from_one_computation(monkeypatch):
+    # the mu = 1 integral at a tau already computed for mu = 0 makes no
+    # quadrature call
+    quads = []
+    quad = mp.quad
+
+    def counting(*args, **kwargs):
+        quads.append(1)
+        return quad(*args, **kwargs)
+
+    P = PeriodEvaluator(CFG)
+    with mp.workdps(CFG.dps):
+        tau = mp.mpc(0.1, 1.2)
+        monkeypatch.setattr(mp, "quad", counting)
+        first = P.component_integral(0, tau)
+        assert len(quads) == 4  # two pieces for each mu
+        second = P.component_integral(1, tau)
+        assert len(quads) == 4
+        # asked for mu = 1 first, a fresh evaluator computes the same pair
+        monkeypatch.setattr(numeric, "_RAY", {})
+        fresh = PeriodEvaluator(CFG)
+        assert (fresh.component_integral(1, tau), fresh.component_integral(0, tau)) == (second, first)
+
+
+def test_slash_sum_computes_each_completion_once_per_image(monkeypatch):
+    # the n^2 lattice points of a matrix of tilde_T(2) share its image tau:
+    # within one sum each (mu, image tau) is computed once, and the sum is
+    # bit-identical to its terms evaluated one by one without the memo
+    computed = []
+    series = numeric._completion_series
+
+    def counting(mu, tau):
+        computed.append((mu, tau))
+        return series(mu, tau)
+
+    monkeypatch.setattr(numeric, "_completion_series", counting)
+    P = lambda tau, z: period_value(tau, z, CFG)
+    terms = tilde_T(2).sorted_terms()
+    with mp.workdps(CFG.dps):
+        tau, z = mp.mpc(0.1, 1.1), mp.mpc(0.2, 0.05)
+        total = slash_formal_sum(P, tilde_T(2), 2, 1)(tau, z)
+        # R' at each matrix's image tau and at its T-image, for mu = 0 and 1
+        matrices = {e.mat for e, _ in terms}
+        assert len(terms) > len(matrices)
+        assert len(computed) == len(set(computed)) == 2 * 2 * len(matrices)
+        once = len(computed)
+        computed.clear()
+        one_by_one = pairwise_sum(c * numeric.slash_ring_term(P, e, 2, 1)(tau, z) for e, c in terms)
+        assert total == one_by_one
+        assert len(computed) > once
+
+
+def test_slash_sum_memo_is_closed_after_the_sum():
+    P = lambda tau, z: period_value(tau, z, CFG)
+    assert numeric._SUM_MEMO.get() is None
+    slash_formal_sum(P, tilde_T(2), 2, 1)(1j, 0.1)
+    assert numeric._SUM_MEMO.get() is None
+
+    def failing(tau, z):
+        assert numeric._SUM_MEMO.get() is not None
+        raise PrecisionError("stop")
+
+    with pytest.raises(PrecisionError):
+        slash_formal_sum(failing, tilde_T(2), 2, 1)(1j, 0.1)
+    assert numeric._SUM_MEMO.get() is None
 
 
 def test_period_memo_is_keyed_by_the_exact_tau():
