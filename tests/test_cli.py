@@ -304,6 +304,10 @@ GOLDEN = {
         "073f3d0b43e07c03ac5af9ffca898812c1d44517f938027453f03c3cb561fe70",
     "verify groupring --n 3":
         "65b16c3c7ca369f223b7e65b5b2dca615a21d5d6323fe3b5e911217e9e9ae1b7",
+    "verify groupring --n 6":
+        "09e1b25bc5e0ddb63a6f85ace034159b2245418078be4a2ce43aaf13f17262b7",
+    "verify groupring --n 10":
+        "361cdcce9b892af67ea9d43c01bd1d82d09619f3243033eb18b54178d8913bf3",
     "verify product --n 2 --np 3 --k 2":
         "f2073231e4c59900549dcb4966fb7c6c311c4990c32bd839a404758a71803708",
     "classnum --max 100 --format csv":

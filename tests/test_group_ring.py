@@ -205,6 +205,16 @@ def test_orbit_hnf_is_the_row_span():
             assert (vx * d - vy * c) % det == 0 and (vy * a - vx * b) % det == 0, (e, hnf)
         for row in ((a, b), (c, d)):
             assert group_ring._orbit_lattice_point(hnf, *row) == (0, 0), (e, hnf)
+        # the coset lattice M = L + nZ^2: L's rows and nZ^2 reduce to zero
+        # under `_coset_hnf`, and its index p' s' is det / [M:L], with [M:L]
+        # counted as the L-classes of nZ^2, so the HNF spans M exactly
+        p1, q1, s1 = hnf_m = group_ring._coset_hnf(n, hnf)
+        assert p1 > 0 and 0 <= q1 < s1, (e, hnf_m)
+        for row in ((p, q), (0, s), (n, 0), (0, n)):
+            assert group_ring._orbit_lattice_point(hnf_m, *row) == (0, 0), (e, hnf_m)
+        classes = {group_ring._orbit_lattice_point(hnf, n * i, n * j)
+                   for i in range(n) for j in range(n)}
+        assert len(classes) * p1 * s1 == det, (e, hnf_m)
 
 
 def test_orbit_keys_distinguish_levels():
@@ -334,9 +344,80 @@ def test_decompose_rejects_non_member():
 
 
 def test_theorem_congruence():
-    for n in (1, 2, 3):
+    # every level the term guard admits
+    for n in range(1, 12):
         report = check_theorem_congruence(n)
         assert report["ok"], (n, report)
+
+
+def _expanded_coset_vector(f):
+    # each key (mat_key, v mod M) of a coset sum puts n^2/[M:L] times its sum
+    # on each L-class of v + M, M = L + nZ^2, L the row span of mat_key
+    n = f.level
+    out = {}
+    for (level, mat_key, x, y), c in group_ring._coset_orbit_vector(f).items():
+        _, hnf = _orbit_matrix_part(n, mat_key)
+        p1, _, s1 = group_ring._coset_hnf(n, hnf)
+        index = n * n // (p1 * s1)  # [M:L] = det L / det M
+        classes = {group_ring._orbit_lattice_point(hnf, x + n * i, y + n * j)
+                   for i in range(n) for j in range(n)}
+        assert len(classes) == index, (n, mat_key, hnf)
+        for k in classes:
+            out[(level, mat_key, *k)] = c * (n * n // index)
+    return out
+
+
+def _congruence_sums(hat, tilde, times):
+    # the four checked differences, and the nonzero hat T - hat and T tilde - tilde
+    T = group_to_ring(generator("T"))
+    sums = [times(hat, group_to_ring(generator(nm))) - hat for nm in ("S", "I1", "I2")]
+    lhs, rhs = times(hat, T) - hat, times(T, tilde) - tilde
+    return [*sums, lhs - rhs, lhs, rhs]
+
+
+def _coset_congruence_sums(n):
+    hat = group_ring._zero_lattice_sum(n, _hat_matrices(n, n * n))
+    tilde = group_ring._zero_lattice_sum(n, chain.from_iterable(_tilde_matrix_lists(n, n * n)))
+    return _congruence_sums(hat, tilde, group_ring._coset_multiply)
+
+
+def test_coset_orbit_vectors_match_the_points():
+    # level 1 keeps its lattice unreduced, so it is in the range
+    for n in range(1, 7):
+        points = _congruence_sums(hecke_hat(n), tilde_T(n), ring_multiply)
+        for i, (f, g) in enumerate(zip(points, _coset_congruence_sums(n))):
+            want = dict(reduce_mod_ideal(f))
+            assert _expanded_coset_vector(g) == want, (n, i)
+            assert bool(want) == (i >= 4), (n, i)
+    # a coset times a coset is no coset
+    hat = group_ring._zero_lattice_sum(2, _hat_matrices(2, 4))
+    with pytest.raises(DomainError):
+        group_ring._coset_multiply(hat, hat)
+
+
+def test_coset_path_negative_control(monkeypatch):
+    # dropping one matrix of a tilde family breaks the congruence on both paths
+    real = group_ring._tilde_matrix_lists
+    for family in range(3):
+        def dropped(n, det, family=family):
+            fams = [list(fam) for fam in real(n, det)]
+            del fams[family][0]
+            return fams
+
+        monkeypatch.setattr(group_ring, "_tilde_matrix_lists", dropped)
+        for n in (3, 4, 6):
+            assert not check_theorem_congruence(n)["hat(T-E)=(T-E)tilde"], (family, n)
+            points = _congruence_sums(hecke_hat(n), tilde_T(n), ring_multiply)
+            assert not reduce_mod_ideal(points[3]).is_zero, (family, n)
+
+
+def test_theorem_congruence_runs_on_cosets(monkeypatch):
+    def boom(*args):
+        raise AssertionError("point path used")
+
+    monkeypatch.setattr(group_ring, "ring_multiply", boom)
+    monkeypatch.setattr(group_ring, "_full_lattice_sum", boom)
+    assert check_theorem_congruence(10)["ok"]
 
 
 def test_theorem_congruence_resource_limit():
