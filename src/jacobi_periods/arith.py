@@ -13,6 +13,7 @@ from math import isqrt
 from .errors import DomainError
 
 _MINUS_ONE_TWELFTH = Fraction(-1, 12)
+_ZERO = Fraction(0)
 
 # cache of H(N) values, extended in bulk by _extend_class_numbers
 _hurwitz_cache: dict[int, Fraction] = {0: _MINUS_ONE_TWELFTH}
@@ -61,7 +62,7 @@ def hurwitz(n: int) -> Fraction:
     if n == 0:
         return _MINUS_ONE_TWELFTH
     if n % 4 in (1, 2):
-        return Fraction(0)
+        return _ZERO
     if n > _hurwitz_cache_max:
         _extend_class_numbers(max(n, 2 * _hurwitz_cache_max, 256))
     return _hurwitz_cache[n]
@@ -78,8 +79,8 @@ class ClassNumberTable:
     def build(cls, nmax: int) -> "ClassNumberTable":
         if nmax < 0:
             raise DomainError(f"table bound must be nonnegative, got {nmax}")
-        _extend_class_numbers(nmax)
-        return cls(max=nmax, values={n: hurwitz(n) for n in range(nmax + 1)})
+        _extend_class_numbers(nmax)  # the cache now holds every nonzero H(n), n <= nmax
+        return cls(max=nmax, values={n: _hurwitz_cache.get(n, _ZERO) for n in range(nmax + 1)})
 
     def rows(self):
         """(N, numerator, denominator) triples in increasing N."""

@@ -51,12 +51,16 @@ class _Expansion:
 
     def __post_init__(self):
         """Adopts the `coeffs` dict given and normalizes it in place (zero values
-        dropped, the others made `_exact`), so no copy of it is held."""
+        dropped, the others made `_exact`), so no copy of it is held.  One pass
+        finds the values that are zero or not an int; only those are touched."""
         self.qbound = _num(self.qbound)
-        for key in [key for key, c in self.coeffs.items() if not c]:
-            del self.coeffs[key]
-        for key, c in self.coeffs.items():
-            self.coeffs[key] = _exact(c)
+        coeffs = self.coeffs
+        for key, c in [(key, c) for key, c in coeffs.items() if type(c) is not int or not c]:
+            c = _exact(c)
+            if c:
+                coeffs[key] = c
+            else:
+                del coeffs[key]
 
     def rescaled(self, new_scale: int):
         if new_scale % self.scale:
@@ -78,18 +82,21 @@ class _Expansion:
         a, b = self._common_scale(other)
         return vars(a) == vars(b)
 
+    def below(self, bound):
+        """The terms below q^bound, complete below min(qbound, bound)."""
+        bound = _bound(bound)
+        top = ceil(bound * self.scale)  # exponent/scale < bound iff exponent < top
+        return replace(self, coeffs={key: c for key, c in self.coeffs.items()
+                                     if self._exponent(key) < top},
+                       qbound=min(self.qbound, bound))
+
     def _equal_below(self, other, bound) -> bool:
         """Coefficientwise equality below q^bound."""
         bound = _num(bound)
         if bound > min(self.qbound, other.qbound):
             raise DomainError("comparison bound exceeds a completeness bound")
         a, b = self._common_scale(other)
-        top = ceil(bound * a.scale)  # exponent/scale < bound iff exponent < top
-
-        def below(h):
-            return {key: c for key, c in h.coeffs.items() if h._exponent(key) < top}
-
-        return below(a) == below(b)
+        return a.below(bound).coeffs == b.below(bound).coeffs
 
 
 @dataclass(eq=False)
@@ -313,11 +320,24 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     gcd(a, b, d) collapses, via divisors e^2 | gcd(a, d) and a Moebius sieve,
     to integer multiples of divisibility indicators; the lattice sums force
     d | r*n and contribute a factor n.  No irrational intermediary appears.
+    The input term (n', r') and x mod n reach the output key
+    (n' a/d + r'' x + x^2, r'' + 2x) with r'' = r' n/d.
 
     Each term of the factorization a*d = n^2 weighs n^(k-4) (n/d)^k n, which
     is a^k / n^3.  The sums accumulate the integer a^k kappa c (for k < 0 the
     integer d^(-k) over n^(3-2k) instead) and divide by the power of n once
     per output key, so integral coefficients stay ints at every weight.
+
+    The action is applied from the output side (pull form).  For each output
+    key (N, R) below the output bound, each a*d = n^2 and each x mod n,
+    exactly one input key reaches it: r' = (R - 2x) d/n and
+    n' = (N - (R - 2x) x - x^2) d/a, when both are integers.  Its coefficient
+    is read from the stored dict.  The output discriminant is a/d times the
+    input one, and one pass over the input checks that its discriminants are
+    nonnegative, so the image lies on |R| <= isqrt(4N), the keys visited.
+    The cost is (output keys) x tau(n^2) x n lookups plus that pass, however
+    long the input is; a sparse input with a large bound still pays for
+    every output key.
     """
     _require_integral(f, "apply_T_jacobi")
     if f.index != 1:
@@ -330,14 +350,15 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     if dmin is not None and dmin < 0:
         raise DomainError("input support must satisfy 4n - r^2 >= 0")
     den = n ** 3 if k >= 0 else n ** (3 - 2 * k)
-    sums: dict[tuple[int, int], int | Fraction] = {}
+    parts = []
     for a in divisors(n * n):
         d = n * n // a
         g = gcd(a, d)
         base = a ** k if k >= 0 else d ** -k  # base / den = a^k / n^3
         # b-sum sieve: partition over the exact gcd eps = gcd(a, b, d), a
         # perfect square dividing g, then a Moebius sieve over t | g/eps;
-        # each piece is a full geometric sum of block size d/(eps*t)
+        # each piece is a full geometric sum of block size d/(eps*t), and
+        # counts when the block divides n'
         sieve = []
         for eps in divisors(g):
             if isqrt(eps) ** 2 != eps:
@@ -347,26 +368,30 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                 if mt:
                     block = d // (eps * t)
                     sieve.append((block, mt * block))
-        for (np_, rp), c in f.coeffs.items():
-            # output discriminants scale by a/d; prune inputs that cannot reach q_out
-            disc = 4 * np_ - rp * rp
-            if a * disc >= 4 * q_out * d:
-                continue
-            if (rp * n) % d:
-                continue
-            rnd = rp * n // d
-            for block, kappa in sieve:
-                if np_ % block:
-                    continue
-                w = base * kappa * c
-                na = np_ * a // d
+        parts.append((a, d, base, sieve))
+    get = f.coeffs.get
+    coeffs: dict[tuple[int, int], int | Fraction] = {}
+    for N in range(q_out):
+        top = isqrt(4 * N)
+        for R in range(-top, top + 1):
+            v = 0
+            for a, d, base, sieve in parts:
+                acc = 0
                 for x in range(n):
-                    N = na + rnd * x + x * x
-                    if 0 <= N < q_out:
-                        key = (N, rnd + 2 * x)
-                        sums[key] = sums.get(key, 0) + w
-    return JacobiExpansion(f.weight, 1, 1, {key: Fraction(v, den) for key, v in sums.items()},
-                           q_out)
+                    rnd = R - 2 * x
+                    if (rnd * d) % n:
+                        continue
+                    m = (N - rnd * x - x * x) * d
+                    if m % a:
+                        continue
+                    np_ = m // a
+                    c = get((np_, rnd * d // n))
+                    if c:
+                        acc += sum(kappa for block, kappa in sieve if np_ % block == 0) * c
+                v += base * acc
+            if v:
+                coeffs[(N, R)] = Fraction(v, den)
+    return JacobiExpansion(f.weight, 1, 1, coeffs, q_out)
 
 
 def apply_T_half(h: QSeries, p: int) -> QSeries:
@@ -474,7 +499,14 @@ def psi_lift(c: QSeries) -> JacobiExpansion:
 def diagram_check(p: int, disc: int, qbound: int, literal_weight2: bool = False) -> dict:
     """Exact commutativity of the lift square: the half-integral Hecke action
     followed by either lift agrees with the lift followed by the weight-2
-    resp. index-1 Hecke action, below qbound."""
+    resp. index-1 Hecke action, below qbound.
+
+    Each lift reads its input only as far as its comparison below q^qbound
+    needs: psi of the T_{p^2} image below 4(qbound - 1) + 1, and psi of the
+    class-number series below 4 tj_needed_nmax(p, qbound - 1) + 5, the order
+    its T_p image below qbound reads.  The class-number series itself is
+    built to the largest of those bounds and of the phi side's
+    p^2 (qbound - 1)^2 |D| + 1."""
     _bound(qbound, 1)
     require_negative_fundamental(disc)  # before the series is built
     absd = -disc
@@ -488,8 +520,8 @@ def diagram_check(p: int, disc: int, qbound: int, literal_weight2: bool = False)
     rhs_phi = apply_T_weight2(phi_lift(h, disc), p, literal=literal_weight2)
     phi_ok = lhs_phi.equal_below(rhs_phi, qbound)
 
-    lhs_psi = psi_lift(th)
-    rhs_psi = apply_T_jacobi(psi_lift(h), p)
+    lhs_psi = psi_lift(th.below(4 * (qbound - 1) + 1))
+    rhs_psi = apply_T_jacobi(psi_lift(h.below(need_tj)), p)
     psi_ok = lhs_psi.equal_below(rhs_psi, qbound)
     return {"phi_commutes": phi_ok, "psi_commutes": psi_ok, "ok": phi_ok and psi_ok,
             "p": p, "D": disc, "qbound": qbound}

@@ -572,10 +572,16 @@ def check_theorem_congruence(n: int) -> dict:
     refused."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    if _over_budget((n,), _CONGRUENCE_TERM_BUDGET):
+    # the `_estimate_terms` guard, counted on the lists the sums are built
+    # from; the hat matrices first, so a level far past the budget is
+    # refused before any tilde matrix is enumerated
+    hat_mats, tilde_mats = list(_hat_matrices(n, n * n)), []
+    if len(hat_mats) * n * n <= _CONGRUENCE_TERM_BUDGET:
+        tilde_mats = list(chain.from_iterable(_tilde_matrix_lists(n, n * n)))
+    if (len(hat_mats) + len(tilde_mats)) * n * n > _CONGRUENCE_TERM_BUDGET:
         raise ResourceLimitError(f"level {n} exceeds the configured term budget")
-    hat = _zero_lattice_sum(n, _hat_matrices(n, n * n))
-    tilde = _zero_lattice_sum(n, chain.from_iterable(_tilde_matrix_lists(n, n * n)))
+    hat = _zero_lattice_sum(n, hat_mats)
+    tilde = _zero_lattice_sum(n, tilde_mats)
     out = {}
     for name in ("S", "I1", "I2"):
         g = group_to_ring(generator(name))

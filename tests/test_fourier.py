@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt
 
 import pytest
 import sympy
 from sympy import QQ, Poly, Symbol, cyclotomic_poly
 
-from jacobi_periods.arith import hurwitz, sigma
+from jacobi_periods import fourier
+from jacobi_periods.arith import divisors, hurwitz, moebius, sigma
 from jacobi_periods.errors import DomainError
 from jacobi_periods.fourier import (
     JacobiExpansion,
@@ -24,6 +26,7 @@ from jacobi_periods.fourier import (
     theta,
     theta_combination,
     theta_decomposition_check,
+    tj_needed_nmax,
 )
 
 
@@ -387,6 +390,117 @@ def test_apply_T_jacobi_off_weight_two():
         assert out.qbound == 2 and out.coeffs == image, k
 
 
+# --- push-form oracle for the index-preserving action ----------------------
+#
+# The scan over the stored input terms: each term (n', r'), for each
+# a*d = n^2, each piece of the b-sum sieve and each x mod n, adds to the
+# output key (n' a/d + r'' x + x^2, r'' + 2x), r'' = r' n/d, that it reaches.
+# `apply_T_jacobi` computes the same sums from the output side.
+
+def _apply_T_jacobi_push(f, n):
+    q_out = 0
+    while tj_needed_nmax(n, q_out) < f.qbound:
+        q_out += 1
+    k = int(f.weight)
+    den = n ** 3 if k >= 0 else n ** (3 - 2 * k)
+    sums = {}
+    for a in divisors(n * n):
+        d = n * n // a
+        g = gcd(a, d)
+        base = a ** k if k >= 0 else d ** -k
+        sieve = []
+        for eps in divisors(g):
+            if isqrt(eps) ** 2 != eps:
+                continue
+            for t in divisors(g // eps):
+                mt = moebius(t)
+                if mt:
+                    block = d // (eps * t)
+                    sieve.append((block, mt * block))
+        for (np_, rp), c in f.coeffs.items():
+            # output discriminants scale by a/d; prune inputs that cannot reach q_out
+            disc = 4 * np_ - rp * rp
+            if a * disc >= 4 * q_out * d:
+                continue
+            if (rp * n) % d:
+                continue
+            rnd = rp * n // d
+            for block, kappa in sieve:
+                if np_ % block:
+                    continue
+                w = base * kappa * c
+                na = np_ * a // d
+                for x in range(n):
+                    N = na + rnd * x + x * x
+                    if 0 <= N < q_out:
+                        key = (N, rnd + 2 * x)
+                        sums[key] = sums.get(key, 0) + w
+    return JacobiExpansion(f.weight, 1, 1, {key: Fraction(v, den) for key, v in sums.items()},
+                           q_out)
+
+
+def _random_input(rng, n, k, fractional):
+    """Random coefficients on about half the keys an image below q^orders
+    reads (input discriminant < 4 orders n^2), plus 20 keys anywhere; the
+    bound lies just past the order that image needs."""
+    orders = rng.randint(1, 3 if n <= 3 else 2)
+    qbound = tj_needed_nmax(n, orders - 1) + rng.choice((Fraction(1, 2), 1, 3))
+    top, dmax = ceil(qbound), 4 * orders * n * n
+    keys = [(m, r) for r in range(-isqrt(4 * (top - 1)), isqrt(4 * (top - 1)) + 1)
+            for m in range(-(-r * r // 4), min(top, (r * r + dmax + 3) // 4))
+            if rng.random() < 0.5]
+    for _ in range(20):
+        m = rng.randrange(top)
+        keys.append((m, rng.randint(-isqrt(4 * m), isqrt(4 * m))))
+
+    def coeff():
+        v = rng.randint(-9, 9)
+        return Fraction(v, rng.randint(1, 6)) if fractional else v
+
+    return JacobiExpansion(k, 1, 1, {key: coeff() for key in keys}, qbound)
+
+
+def _same_image(got, want):
+    """Equal values, value types and bounds."""
+    return got == want and {key: type(c) for key, c in got.coeffs.items()} == \
+        {key: type(c) for key, c in want.coeffs.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pull_form_matches_push_oracle_on_random_inputs(n):
+    for seed in (0, 1):
+        for k in (-2, 0, 2, 3, 4):
+            for fractional in (False, True):
+                rng = random.Random(f"{n}:{seed}:{k}:{fractional}")
+                f = _random_input(rng, n, k, fractional)
+                got, want = apply_T_jacobi(f, n), _apply_T_jacobi_push(f, n)
+                assert want.coeffs and _same_image(got, want), (n, seed, k, fractional)
+
+
+def test_pull_form_matches_push_oracle_on_e21():
+    for p in (2, 3, 5):
+        f = e21_expansion(tj_needed_nmax(p, 14) + 1)
+        assert _same_image(apply_T_jacobi(f, p), _apply_T_jacobi_push(f, p)), p
+    f = JacobiExpansion(2, 1, 1, e21_expansion(5).coeffs, Fraction(9, 2))
+    for n in (1, 2):
+        assert _same_image(apply_T_jacobi(f, n), _apply_T_jacobi_push(f, n)), n
+    # one term of negative discriminant among valid ones is refused
+    bad = JacobiExpansion(2, 1, 1, {**e21_expansion(30).coeffs, (5, 5): 1}, 30)
+    with pytest.raises(DomainError):
+        apply_T_jacobi(bad, 2)
+
+
+def test_below_truncates_terms_and_bound():
+    e = e21_expansion(10)
+    assert e.below(6) == e21_expansion(6) and e.below(20) == e
+    assert e.below(Fraction(9, 2)) == JacobiExpansion(2, 1, 1, e21_expansion(5).coeffs,
+                                                      Fraction(9, 2))
+    h = h32_series(40)
+    assert h.rescaled(4).below(7) == h32_series(7)
+    with pytest.raises(DomainError):
+        e.below(-1)
+
+
 def test_integral_coefficients_are_ints():
     e = e21_expansion(30)
     assert all(type(c) is int for c in e.coeffs.values())
@@ -433,3 +547,14 @@ def test_diagram_linearity_and_negative_control():
     bound = min(lhs.qbound, rhs.qbound, 5)
     assert not lhs.equal_below(rhs, bound)
     assert psi_lift(th).scaled_by(2).equal_below(rhs.scaled_by(2), bound)
+
+
+def test_diagram_negative_control_on_the_jacobi_side(monkeypatch):
+    # a T_J that doubles its output breaks the psi side of the square under
+    # the truncated lifts, and leaves the phi side alone
+    apply = fourier.apply_T_jacobi
+    monkeypatch.setattr(fourier, "apply_T_jacobi", lambda f, n: apply(f, n).scaled_by(2))
+    for p in (2, 3):
+        for disc in (-3, -4):
+            rep = diagram_check(p, disc, 12)
+            assert rep["phi_commutes"] and rep["psi_commutes"] is False, rep
