@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, gcd, isqrt
 
-from .arith import divisors, hurwitz, kronecker, l_zero_chi, moebius, require_negative_fundamental, sigma
+from .arith import (divisors, hurwitz, is_square, kronecker, l_zero_chi, moebius,
+                    require_negative_fundamental, sigma)
 from .errors import DomainError
 
 
@@ -361,7 +362,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
         # counts when the block divides n'
         sieve = []
         for eps in divisors(g):
-            if isqrt(eps) ** 2 != eps:
+            if not is_square(eps):
                 continue
             for t in divisors(g // eps):
                 mt = moebius(t)

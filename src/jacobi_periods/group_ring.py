@@ -16,7 +16,8 @@ congruence identities depend on).  A formal sum stores its terms by matrix,
 {A: {(x2, y2): coeff}}, so sign canonicalization, matrix products and the
 matrix half of an orbit key run once per matrix, not once per lattice point.
 The congruence check goes further and stores one lattice coset per matrix
-(`_coset_multiply`).
+(`_coset_multiply`); one loop, `_orbit_vector`, reduces both, points modulo
+level^2 and cosets modulo level.
 
 The transfer elements for the action on period functions use matrices of
 determinant n (index-raising type, lattice zero) or n^2 (index-preserving
@@ -27,7 +28,7 @@ matrix, and only det = level^2 elements participate in orbit reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 
 from .arith import divisors, is_square
@@ -404,13 +405,27 @@ class OrbitVector(dict):
         return not self
 
 
-def reduce_mod_ideal(f: FormalSum) -> OrbitVector:
-    """The orbit vector of f: the sum of its coefficients over each orbit
-    key of `orbit_canonical`.  The matrix half of the key is computed once
-    per block of f."""
-    out: dict = {}
+def _coset_hnf(level: int, hnf):
+    """The HNF (p', q', s') of M = L + level Z^2 from the HNF (p, q, s) of L:
+    p' = gcd(p, level) = u p + w level, s' = gcd(s, level, (level/p') q) and
+    q' = u q mod s'."""
+    p, q, s = hnf
+    p1, u, _ = _ext_gcd(p, level)
+    s1 = gcd(s, level, level // p1 * q)
+    return p1, u * q % s1, s1
+
+
+def _orbit_vector(f: FormalSum, modulus: int) -> OrbitVector:
+    """The sum of f's coefficients over each key (level, S-orbit key of +-A,
+    v mod M), M = L + modulus Z^2 with L the row span of A.  At modulus
+    level^2, M = L (L holds level^2 Z^2) and this is `reduce_mod_ideal`.  At
+    modulus n = level it reduces a coset sum (`_coset_multiply`): the n^2
+    points v + nZ^2 put n^2/[M:L] times the offset's coefficient on each
+    L-class of v + M, so the vector is empty exactly when the points' is."""
+    out = OrbitVector()
     for mat, pts in f.blocks.items():
         mat_key, hnf = _orbit_matrix_part(f.level, mat)
+        hnf = _coset_hnf(modulus, hnf)
         for (x, y), c in pts.items():
             k = (f.level, mat_key, *_orbit_lattice_point(hnf, x, y))
             v = out.get(k, 0) + c
@@ -418,7 +433,14 @@ def reduce_mod_ideal(f: FormalSum) -> OrbitVector:
                 out[k] = v
             else:
                 out.pop(k, None)
-    return OrbitVector(out)
+    return out
+
+
+def reduce_mod_ideal(f: FormalSum) -> OrbitVector:
+    """The orbit vector of f: the sum of its coefficients over each orbit
+    key of `orbit_canonical`, built by `_orbit_vector` at modulus level^2.
+    The matrix half of the key is computed once per block of f."""
+    return _orbit_vector(f, f.level * f.level)
 
 
 def _coset_multiply(f: FormalSum, g: FormalSum) -> FormalSum:
@@ -433,36 +455,6 @@ def _coset_multiply(f: FormalSum, g: FormalSum) -> FormalSum:
     if f.level != 1 and g.level != 1:
         raise DomainError("a coset sum multiplies only level-1 elements")
     return _block_product(f, g, f.level * g.level)
-
-
-def _coset_hnf(level: int, hnf):
-    """The HNF (p', q', s') of M = L + level Z^2 from the HNF (p, q, s) of L:
-    p' = gcd(p, level) = u p + w level, s' = gcd(s, level, (level/p') q) and
-    q' = u q mod s'."""
-    p, q, s = hnf
-    p1, u, _ = _ext_gcd(p, level)
-    s1 = gcd(s, level, level // p1 * q)
-    return p1, u * q % s1, s1
-
-
-def _coset_orbit_vector(f: FormalSum) -> OrbitVector:
-    """The orbit sums of a coset sum at level n, keyed by (n, S-orbit key of
-    +-A, v mod M) with L the row span of A and M = L + nZ^2.  The n^2 points
-    v + nZ^2 put n^2/[M:L] times the offset's coefficient on each L-class of
-    v + M, so this vector is empty exactly when `reduce_mod_ideal` of the
-    points is."""
-    out = OrbitVector()
-    for mat, offsets in f.blocks.items():
-        mat_key, hnf = _orbit_matrix_part(f.level, mat)
-        hnf = _coset_hnf(f.level, hnf)
-        for (x, y), c in offsets.items():
-            k = (f.level, mat_key, *_orbit_lattice_point(hnf, x, y))
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
 
 
 def _transporter_word(e: RingBasisElement, e0: RingBasisElement):
@@ -533,26 +525,31 @@ def decompose_ideal_member(f: FormalSum):
 
 
 # ---------------------------------------------------------------------------
-# Theorem-level checks, and their term budgets in `_estimate_terms` units
+# Theorem-level checks, and their term budgets in points (n^2 per matrix)
 
 _CONGRUENCE_TERM_BUDGET = 200_000
 _PRODUCT_TERM_BUDGET = 400_000
 
 
-def _hat_terms(n: int) -> int:
-    return sum(1 for _ in _hat_matrices(n, n * n)) * n * n
+def _guard_terms(levels, budget: int, message: str):
+    """The hat and the tilde matrix lists of each of `levels`, or
+    `ResourceLimitError(message)` as soon as their terms sum past `budget`.
+    Each level's hat matrices are taken lazily, at most budget // n^2 + 1 of
+    them, and every level's hat matrices before any tilde matrix, so a level
+    far past the budget is refused after a handful of matrices."""
+    total = 0
 
+    def counted(n, mats):
+        nonlocal total
+        mats = list(mats)
+        total += len(mats) * n * n
+        if total > budget:
+            raise ResourceLimitError(message)
+        return mats
 
-def _estimate_terms(n: int) -> int:
-    """The term count len(hecke_hat(n)) + len(tilde_T(n)), without building the sums."""
-    return sum(len(fam) for fam in _tilde_matrix_lists(n, n * n)) * n * n + _hat_terms(n)
-
-
-def _over_budget(levels, budget: int) -> bool:
-    """Whether the `_estimate_terms` of `levels` sum past `budget`.  The hat
-    terms are a lower bound of that sum and cheap to count, so a level far
-    past the budget is refused before any tilde matrix is enumerated."""
-    return sum(map(_hat_terms, levels)) > budget or sum(map(_estimate_terms, levels)) > budget
+    hats = [counted(n, islice(_hat_matrices(n, n * n), budget // (n * n) + 1)) for n in levels]
+    tildes = [counted(n, chain.from_iterable(_tilde_matrix_lists(n, n * n))) for n in levels]
+    return hats, tildes
 
 
 def check_theorem_congruence(n: int) -> dict:
@@ -562,34 +559,28 @@ def check_theorem_congruence(n: int) -> dict:
     Every sum formed here comes from the full-lattice sums hat(n) and
     tilde(n), one coset nZ^2 per matrix, by right multiplication with S, I1,
     I2 or T, left multiplication with T, and differences.  Each step keeps
-    whole cosets v + nZ^2 (`_coset_multiply`), and orbit reduction of a coset
-    is a coefficient sum over (S-orbit key, v mod M) (`_coset_orbit_vector`),
-    so the check runs on one term per matrix instead of n^2.  The point path
-    (`ring_multiply`, `reduce_mod_ideal`) stays the oracle.  On one core of
-    a 2-vCPU Xeon under CPython 3.11, n = 6 / 8 / 10 take 0.007 / 0.012 /
-    0.024 s, against 0.045 / 0.11 / 0.36 s on the points (median of five
-    calls in one process); the term guard is unchanged, so n >= 12 is still
-    refused."""
+    whole cosets v + nZ^2 (`_coset_multiply`), and the orbit vector of a
+    coset sum is `_orbit_vector` at modulus n, the loop `reduce_mod_ideal`
+    runs at modulus n^2, so the check runs on one term per matrix instead of
+    n^2.  The point path (`ring_multiply`, `reduce_mod_ideal`) stays the
+    oracle.  On one core of a 2-vCPU Xeon under CPython 3.11, n = 6 / 8 / 10
+    take 0.007 / 0.012 / 0.024 s, against 0.045 / 0.11 / 0.36 s on the
+    points (median of five calls in one process).  `_guard_terms` still
+    counts points, so n = 12 and every n >= 14 are refused."""
     if n < 1:
         raise DomainError("level must be >= 1")
-    # the `_estimate_terms` guard, counted on the lists the sums are built
-    # from; the hat matrices first, so a level far past the budget is
-    # refused before any tilde matrix is enumerated
-    hat_mats, tilde_mats = list(_hat_matrices(n, n * n)), []
-    if len(hat_mats) * n * n <= _CONGRUENCE_TERM_BUDGET:
-        tilde_mats = list(chain.from_iterable(_tilde_matrix_lists(n, n * n)))
-    if (len(hat_mats) + len(tilde_mats)) * n * n > _CONGRUENCE_TERM_BUDGET:
-        raise ResourceLimitError(f"level {n} exceeds the configured term budget")
+    (hat_mats,), (tilde_mats,) = _guard_terms(
+        (n,), _CONGRUENCE_TERM_BUDGET, f"level {n} exceeds the configured term budget")
     hat = _zero_lattice_sum(n, hat_mats)
     tilde = _zero_lattice_sum(n, tilde_mats)
     out = {}
     for name in ("S", "I1", "I2"):
         g = group_to_ring(generator(name))
-        out[f"hat({name}-E)=0"] = _coset_orbit_vector(_coset_multiply(hat, g) - hat).is_zero
+        out[f"hat({name}-E)=0"] = _orbit_vector(_coset_multiply(hat, g) - hat, n).is_zero
     T = group_to_ring(generator("T"))
     lhs = _coset_multiply(hat, T) - hat
     rhs = _coset_multiply(T, tilde) - tilde
-    out["hat(T-E)=(T-E)tilde"] = _coset_orbit_vector(lhs - rhs).is_zero
+    out["hat(T-E)=(T-E)tilde"] = _orbit_vector(lhs - rhs, n).is_zero
     out["ok"] = all(v for k, v in out.items() if k != "ok")
     return out
 
@@ -626,8 +617,8 @@ def check_product_formula(n: int, n2: int, k: int) -> dict:
     reduction."""
     if n < 1 or n2 < 1:
         raise DomainError("levels must be >= 1")
-    if _over_budget((n, n2, n * n2), _PRODUCT_TERM_BUDGET):
-        raise ResourceLimitError("product exceeds the configured term budget")
+    _guard_terms((n, n2, n * n2), _PRODUCT_TERM_BUDGET,
+                 "product exceeds the configured term budget")
     diff = product_difference(n, n2, k)
     vec = reduce_mod_ideal(diff)
     T = generator("T")

@@ -220,6 +220,11 @@ def test_verify_options_reach_the_config():
     ("verify", "numeric", "--check", "beta", "--tol", "nan"),
     ("verify", "eigen", "--qbound", "0"),
     ("verify", "product", "--n", "2", "--np", "2", "--k", "1"),
+    # refused by the term budgets
+    ("verify", "groupring", "--n", "12"),
+    ("verify", "groupring", "--n", "1000"),
+    ("verify", "product", "--n", "3", "--np", "5"),
+    ("verify", "product", "--n", "1000", "--np", "1"),
 ])
 def test_explicit_bad_levels_are_usage_errors(capsys, argv):
     # an explicit out-of-range value is refused with a DomainError

@@ -10,7 +10,7 @@ from jacobi_periods.errors import DomainError, InvalidElementError, ResourceLimi
 from jacobi_periods.group_ring import (
     FormalSum,
     RingBasisElement,
-    _estimate_terms,
+    _guard_terms,
     _hat_matrices,
     _orbit_matrix_part,
     _tilde_matrix_lists,
@@ -215,6 +215,9 @@ def test_orbit_hnf_is_the_row_span():
         classes = {group_ring._orbit_lattice_point(hnf, n * i, n * j)
                    for i in range(n) for j in range(n)}
         assert len(classes) * p1 * s1 == det, (e, hnf_m)
+        # at modulus det the coset lattice is L itself: p | det, so the
+        # orbit loop reduces stored points exactly as the row span does
+        assert group_ring._coset_hnf(det, hnf) == hnf, (e, hnf)
 
 
 def test_orbit_keys_distinguish_levels():
@@ -345,7 +348,7 @@ def test_decompose_rejects_non_member():
 
 def test_theorem_congruence():
     # every level the term guard admits
-    for n in range(1, 12):
+    for n in [*range(1, 12), 13]:
         report = check_theorem_congruence(n)
         assert report["ok"], (n, report)
 
@@ -355,7 +358,7 @@ def _expanded_coset_vector(f):
     # on each L-class of v + M, M = L + nZ^2, L the row span of mat_key
     n = f.level
     out = {}
-    for (level, mat_key, x, y), c in group_ring._coset_orbit_vector(f).items():
+    for (level, mat_key, x, y), c in group_ring._orbit_vector(f, n).items():
         _, hnf = _orbit_matrix_part(n, mat_key)
         p1, _, s1 = group_ring._coset_hnf(n, hnf)
         index = n * n // (p1 * s1)  # [M:L] = det L / det M
@@ -423,6 +426,9 @@ def test_theorem_congruence_runs_on_cosets(monkeypatch):
 def test_theorem_congruence_resource_limit():
     with pytest.raises(ResourceLimitError):
         check_theorem_congruence(50)
+    # the first level the budget refuses
+    with pytest.raises(ResourceLimitError, match="^level 12 exceeds the configured term budget$"):
+        check_theorem_congruence(12)
 
 
 def test_term_budget_refuses_before_enumerating_tilde(monkeypatch):
@@ -439,8 +445,32 @@ def test_term_budget_refuses_before_enumerating_tilde(monkeypatch):
 
 
 def test_term_budget_counts_the_guarded_sums():
-    for n in range(1, 6):
-        assert _estimate_terms(n) == len(hecke_hat(n)) + len(tilde_T(n)), n
+    # the guard admits exactly the point count of the sums it guards
+    for levels in [(n,) for n in range(1, 6)] + [(2, 3, 6)]:
+        terms = sum(len(hecke_hat(n)) + len(tilde_T(n)) for n in levels)
+        hats, tildes = _guard_terms(levels, terms, "refused")
+        assert [len(m) * n * n for m, n in zip(hats, levels)] == [len(hecke_hat(n)) for n in levels]
+        assert [len(m) * n * n for m, n in zip(tildes, levels)] == [len(tilde_T(n)) for n in levels]
+        with pytest.raises(ResourceLimitError, match="^refused$"):
+            _guard_terms(levels, terms - 1, "refused")
+
+
+def test_term_budget_refuses_after_a_few_hat_matrices(monkeypatch):
+    # a level far past the budget is refused lazily, not after listing its
+    # 1,915,560 hat matrices (n = 1000)
+    real = group_ring._hat_matrices
+
+    def bounded(n, det):
+        for i, mat in enumerate(real(n, det)):
+            if i == 1000:
+                raise AssertionError("hat matrices enumerated past the budget")
+            yield mat
+
+    monkeypatch.setattr(group_ring, "_hat_matrices", bounded)
+    with pytest.raises(ResourceLimitError, match="^level 1000 exceeds the configured term budget$"):
+        check_theorem_congruence(1000)
+    with pytest.raises(ResourceLimitError, match="^product exceeds the configured term budget$"):
+        check_product_formula(1000, 1, 2)
 
 
 def test_hat_b_convention_immaterial_mod_ideal():
