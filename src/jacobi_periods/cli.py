@@ -118,7 +118,8 @@ def verify_eigen(args) -> int:
     detail, ok = {"qbound": qb, "primes": primes}, True
     for p in primes:
         f = fourier.e21_expansion(fourier.tj_needed_nmax(p, qb - 1) + 1)
-        good = fourier.apply_T_jacobi(f, p).equal_below(f.below(qb).scaled_by(p + 1), qb)
+        want = f.below(qb).scaled_by(arith.sigma(p, 1))  # the eigenvalue of T_n on E
+        good = fourier.apply_T_jacobi(f, p).equal_below(want, qb)
         detail[f"p{p}"] = "pass" if good else "fail"
         ok = ok and good
     return _verify_report("hecke_eigenvalue", ok, detail, args)

@@ -7,11 +7,15 @@ coefficients are exact: an integral one is held as an ``int``, any other as a
 ``Fraction`` (both have ``numerator`` and ``denominator``).  Every operation
 records the largest truncation bound ``qbound`` for which its output is
 provably complete given the completeness of its inputs.
+
+An index-1 expansion whose coefficient depends only on D = 4n - r^2 (a
+psi-lift, among them E_{2,1}) is held as its table indexed by D; its
+(n, r) dict is built only when ``coeffs`` is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from math import ceil, gcd, isqrt
 
@@ -81,7 +85,7 @@ class _Expansion:
         if type(self) is not type(other):
             return NotImplemented
         a, b = self._common_scale(other)
-        return vars(a) == vars(b)
+        return all(getattr(a, f.name) == getattr(b, f.name) for f in fields(a))
 
     def below(self, bound):
         """The terms below q^bound, complete below min(qbound, bound)."""
@@ -128,7 +132,12 @@ class QSeries(_Expansion):
 @dataclass(eq=False)
 class JacobiExpansion(_Expansion):
     """Truncated two-variable expansion sum c(n, r) q^n zeta^r with
-    n = n_scaled/scale; complete for n < qbound."""
+    n = n_scaled/scale; complete for n < qbound.
+
+    The table form (`_of_discriminant`) holds an index-1, scale-1 expansion
+    with c(n, r) = table[4n - r^2] for n < qbound.  `coeff`, `below`,
+    `scaled_by` and `min_discriminant` read the table; the first read of
+    `coeffs` builds the (n, r) dict from it, sharing its value objects."""
 
     weight: Fraction
     index: Fraction
@@ -138,16 +147,55 @@ class JacobiExpansion(_Expansion):
 
     _exponent = staticmethod(lambda key: key[0])
     _rekey = staticmethod(lambda key, m: (key[0] * m, key[1]))
+    _table = None  # the table form's list indexed by D
 
     def __post_init__(self):
         self.weight, self.index = _num(self.weight), _num(self.index)
         super().__post_init__()
 
+    @classmethod
+    def _of_discriminant(cls, weight, table: list, qbound) -> "JacobiExpansion":
+        """The table form.  `table` is adopted as given: exact values (zeros
+        allowed, and zero at D = 1, 2 mod 4, which no key reaches) for every
+        D < 4 ceil(qbound) - 3."""
+        f = cls.__new__(cls)
+        f.weight, f.index, f.scale, f.qbound = _num(weight), Fraction(1), 1, _num(qbound)
+        f._table = table
+        return f
+
+    def __getattr__(self, name):
+        """Reached only for an attribute the instance lacks: `coeffs` of the
+        table form, built here once."""
+        table = self._table
+        if name != "coeffs" or table is None:
+            raise AttributeError(name)
+        coeffs = {}
+        for n in range(ceil(self.qbound)):
+            top = isqrt(4 * n)
+            for r in range(-top, top + 1):
+                if c := table[4 * n - r * r]:
+                    coeffs[(n, r)] = c
+        self.coeffs = coeffs
+        return coeffs
+
     def coeff(self, n_scaled: int, r: int) -> int | Fraction:
-        return self.coeffs.get((n_scaled, r), 0)
+        if self._table is None:
+            return self.coeffs.get((n_scaled, r), 0)
+        D = 4 * n_scaled - r * r
+        return self._table[D] if D >= 0 and n_scaled < self.qbound else 0
+
+    def below(self, bound):
+        if self._table is None:
+            return super().below(bound)
+        qbound = min(self.qbound, _bound(bound))
+        return self._of_discriminant(self.weight, self._table[:max(4 * ceil(qbound) - 3, 0)],
+                                     qbound)
 
     def scaled_by(self, k) -> "JacobiExpansion":
         k = _exact(k)
+        if self._table is not None:
+            return self._of_discriminant(self.weight, [_exact(k * c) for c in self._table],
+                                         self.qbound)
         return replace(self, coeffs={key: k * c for key, c in self.coeffs.items()} if k else {})
 
     def __add__(self, other: "JacobiExpansion") -> "JacobiExpansion":
@@ -165,7 +213,10 @@ class JacobiExpansion(_Expansion):
 
     def min_discriminant(self) -> Fraction | None:
         """min over stored terms of 4*index*n - r^2, None when empty; taken
-        in integers over the common denominator index.denominator * scale."""
+        in integers over the common denominator index.denominator * scale;
+        the table form's is its first D with a nonzero value."""
+        if self._table is not None:
+            return next((Fraction(D) for D, c in enumerate(self._table) if c), None)
         if not self.coeffs:
             return None
         p, q = self.index.numerator, self.index.denominator * self.scale
@@ -333,12 +384,13 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     key (N, R) below the output bound, each a*d = n^2 and each x mod n,
     exactly one input key reaches it: r' = (R - 2x) d/n and
     n' = (N - (R - 2x) x - x^2) d/a, when both are integers.  Its coefficient
-    is read from the stored dict.  The output discriminant is a/d times the
-    input one, and one pass over the input checks that its discriminants are
-    nonnegative, so the image lies on |R| <= isqrt(4N), the keys visited.
-    The cost is (output keys) x tau(n^2) x n lookups plus that pass, however
-    long the input is; a sparse input with a large bound still pays for
-    every output key.
+    is read through `f.coeff`, the only way the input is read, so a dict and
+    a table form (`psi_lift`) take the same loop.  The output discriminant is
+    a/d times the input one, and `min_discriminant` checks that the input's
+    are nonnegative, so the image lies on |R| <= isqrt(4N), the keys visited.
+    The cost is (output keys) x tau(n^2) x n lookups plus that check: one
+    pass over a dict input, a scan to the first nonzero entry of a table.
+    A sparse dict input with a large bound still pays for every output key.
     """
     _require_integral(f, "apply_T_jacobi")
     if f.index != 1:
@@ -370,7 +422,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                     block = d // (eps * t)
                     sieve.append((block, mt * block))
         parts.append((a, d, base, sieve))
-    get = f.coeffs.get
+    get = f.coeff
     coeffs: dict[tuple[int, int], int | Fraction] = {}
     for N in range(q_out):
         top = isqrt(4 * N)
@@ -386,7 +438,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                     if m % a:
                         continue
                     np_ = m // a
-                    c = get((np_, rnd * d // n))
+                    c = get(np_, rnd * d // n)
                     if c:
                         acc += sum(kappa for block, kappa in sieve if np_ % block == 0) * c
                 v += base * acc
@@ -478,23 +530,19 @@ def psi_lift(c: QSeries) -> JacobiExpansion:
     """Lift to a weight-2 index-1 expansion: -12 sum_{r^2 <= 4n} c(4n - r^2) q^n zeta^r.
 
     The lift of the class-number series `h32_series` is E_{2,1}
-    (`e21_expansion`).  Each -12 c(N) is formed once per N, into a list
-    indexed by N, not once per term."""
+    (`e21_expansion`).  Its coefficient depends only on D = 4n - r^2, so it
+    is returned in the table form of `JacobiExpansion`: the list of
+    -12 c(D) over D < 4 qbound - 3, each value formed once.  A coefficient
+    read is a table lookup; the (n, r) dict is built only if `coeffs` is
+    read, and holds the table's values, so integral ones stay ints."""
     if c.scale != 1:
         raise DomainError("scale-1 series required")
     for n in c.coeffs:
         if n % 4 in (1, 2):
             raise DomainError("support must lie in N = 0, 3 mod 4")
     q_out = _orders_below(c.qbound, 4)
-    twelve = [_exact(-12 * c.coeff(N)) for N in range(4 * q_out - 3)]
-    # c is not read again; a series built for this call (as in
-    # `e21_expansion`) is freed here, before the terms are built
-    del c
-    coeffs = {}
-    for n in range(q_out):
-        for r in range(-isqrt(4 * n), isqrt(4 * n) + 1):
-            coeffs[(n, r)] = twelve[4 * n - r * r]
-    return JacobiExpansion(2, 1, 1, coeffs, q_out)
+    return JacobiExpansion._of_discriminant(
+        2, [_exact(-12 * c.coeff(N)) for N in range(4 * q_out - 3)], q_out)
 
 
 def diagram_check(p: int, disc: int, qbound: int, literal_weight2: bool = False) -> dict:

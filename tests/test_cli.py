@@ -112,6 +112,13 @@ def test_verify_eigen_single_prime(capsys):
     assert data["p2"] == "pass"
 
 
+@pytest.mark.parametrize("n", [1, 4, 6, 7, 11])
+def test_verify_eigen_at_any_level_uses_sigma_one(capsys, n):
+    # the eigenvalue of T_n on E_{2,1} is sigma_1(n), which is n + 1 only at primes
+    code, out, _ = run_cli(capsys, "verify", "eigen", "--p", str(n), "--qbound", "15")
+    assert code == 0 and json.loads(out)[f"p{n}"] == "pass"
+
+
 def test_verify_product_reports_ambiguity(capsys):
     code, out, _ = run_cli(capsys, "verify", "product", "--n", "2", "--np", "3", "--k", "2")
     data = json.loads(out)

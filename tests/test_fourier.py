@@ -135,6 +135,93 @@ def test_psi_lift_delta_and_constant():
         assert 4 * n == r * r and c == -12
 
 
+# --- the table form of the psi-lift against its (n, r) dict ------------------
+
+def _psi_lift_dict(c):
+    """The psi-lift built term by term into an (n, r) dict: the oracle for the
+    table form that `psi_lift` returns."""
+    q_out = max(0, ceil(c.qbound / 4))
+    twelve = [-12 * c.coeff(N) for N in range(4 * q_out - 3)]
+    coeffs = {}
+    for n in range(q_out):
+        for r in range(-isqrt(4 * n), isqrt(4 * n) + 1):
+            coeffs[(n, r)] = twelve[4 * n - r * r]
+    return JacobiExpansion(2, 1, 1, coeffs, q_out)
+
+
+# gaps, Fraction values (all but one integral after the factor -12) and c(0) = 0
+_SPARSE = QSeries(1, {3: Fraction(1, 3), 4: 2, 11: Fraction(-5, 2), 12: Fraction(3, 4),
+                      20: 7, 27: Fraction(1, 5)}, 31)
+
+
+def _types(f):
+    return {key: type(c) for key, c in f.coeffs.items()}
+
+
+@pytest.mark.parametrize("source", [h32_series(81), _SPARSE], ids=["h32", "sparse"])
+def test_psi_lift_table_form_matches_the_term_dict(source):
+    f, want = psi_lift(source), _psi_lift_dict(source)
+    top = ceil(f.qbound)
+    for n in range(-2, top + 3):  # n >= qbound, n < 0 and D < 0 included
+        for r in range(-2 * top - 2, 2 * top + 3):
+            assert f.coeff(n, r) == want.coeff(n, r), (n, r)
+    for bound in (0, 1, 3, Fraction(9, 2), top - 1, top, top + 5):
+        assert f.below(bound) == want.below(bound), bound
+        assert _types(f.below(bound)) == _types(want.below(bound)), bound
+    for k in (2, Fraction(1, 4), 0):
+        assert f.scaled_by(k) == want.scaled_by(k), k
+        assert _types(f.scaled_by(k)) == _types(want.scaled_by(k)), k
+    assert f.min_discriminant() == want.min_discriminant()
+    assert "coeffs" not in vars(f)  # none of the above built the dict
+    assert f.coeffs == want.coeffs and _types(f) == _types(want)
+    assert all(c is f._table[4 * n - r * r] for (n, r), c in f.coeffs.items())
+    assert psi_lift(source).rescaled(4) == want.rescaled(4)
+    assert psi_lift(source) + want == want.scaled_by(2) == want + psi_lift(source)
+    assert psi_lift(source) == want and want == psi_lift(source)
+    assert psi_lift(source) != want.scaled_by(2) and psi_lift(source) != want.below(top - 1)
+    assert psi_lift(source).to_json_dict() == want.to_json_dict()
+
+
+def test_psi_lift_table_form_minimum_and_empty_bound():
+    assert psi_lift(_SPARSE).min_discriminant() == 3
+    assert psi_lift(QSeries(1, {8: 1}, 31)).below(2).min_discriminant() is None
+    empty = psi_lift(QSeries(1, {0: 1}, 0))
+    assert empty == JacobiExpansion(2, 1, 1, {}, 0) and empty.min_discriminant() is None
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_apply_T_jacobi_reads_the_table_form_as_the_dict(n):
+    # random support on D < 8 n^2, every discriminant an image below q^3 reads
+    rng = random.Random(n)
+    source = QSeries(1, {D: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 6)))
+                         for D in range(8 * n * n) if D % 4 in (0, 3) and rng.random() < 0.6},
+                     4 * tj_needed_nmax(n, 2) + 1)
+    f, want = psi_lift(source), _psi_lift_dict(source)
+    got = apply_T_jacobi(f, n)
+    assert "coeffs" not in vars(f)  # read only through coeff
+    assert got.coeffs and _same_image(got, apply_T_jacobi(want, n))
+    assert _same_image(got, _apply_T_jacobi_push(want, n))
+
+
+def test_verify_eigen_path_builds_no_term_dict_of_its_input(monkeypatch):
+    # the `verify eigen` comparison at p = 5: E to q^1451 is only read through
+    # its table, and the one dict built is the 149-term side compared
+    built = []
+    lazy = JacobiExpansion.__getattr__
+
+    def counted(self, name):
+        coeffs = lazy(self, name)
+        built.append(len(coeffs))
+        return coeffs
+
+    monkeypatch.setattr(JacobiExpansion, "__getattr__", counted)
+    f = e21_expansion(tj_needed_nmax(5, 14) + 1)
+    out = apply_T_jacobi(f, 5)
+    assert out.equal_below(f.below(15).scaled_by(6), 15)
+    assert "coeffs" not in vars(f)
+    assert built == [len(out.below(15).coeffs)] == [149]
+
+
 def test_phi_lift_to_weight_two():
     for disc in (-4, -3):
         lifted = phi_lift(h32_series(1600), disc)
