@@ -2,6 +2,9 @@
 
 Class numbers are computed by direct enumeration of reduced positive-definite
 integral binary quadratic forms, so the package carries no external tables.
+H(N) is held as an ``int`` where it is integral and as a ``Fraction`` only at
+N = 0, 3k^2 and 4k^2, where the forms equivalent to k(x^2+xy+y^2) and
+k(x^2+y^2) weigh 1/3 and 1/2.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from math import isqrt
 from .errors import DomainError
 
 _MINUS_ONE_TWELFTH = Fraction(-1, 12)
-_ZERO = Fraction(0)
+_ZERO = 0
 
 # cache of H(N) values, extended in bulk by _extend_class_numbers
-_hurwitz_cache: dict[int, Fraction] = {0: _MINUS_ONE_TWELFTH}
+_hurwitz_cache: dict[int, int | Fraction] = {0: _MINUS_ONE_TWELFTH}
 _hurwitz_cache_max = 0
 
 
@@ -27,7 +30,8 @@ def _extend_class_numbers(nmax: int) -> None:
     Forms equivalent to a(x^2+y^2) weigh 1/2, to a(x^2+xy+y^2) weigh 1/3.
     Weights are counted in integer sixths: for fixed (a, b) the forms with
     c > a have N = 4ac - b^2 in an arithmetic progression of step 4a, so each
-    such row is one pass over a slice of the count list.
+    such row is one pass over a slice of the count list.  A count divisible
+    by 6 is stored as the int it stands for, any other as a Fraction.
     """
     global _hurwitz_cache_max
     if nmax <= _hurwitz_cache_max:
@@ -44,19 +48,21 @@ def _extend_class_numbers(nmax: int) -> None:
             w = 12 if 0 < b < a else 6
             sixths[row] = [s + w for s in sixths[row]]
         a += 1
-    shared: dict[int, Fraction] = {}  # one Fraction per distinct count
+    shared: dict[int, int | Fraction] = {}  # one value object per distinct count
     for n in range(_hurwitz_cache_max + 1, nmax + 1):
         if n % 4 in (1, 2):
             continue
         s = sixths[n]
         if s not in shared:
-            shared[s] = Fraction(s, 6)
+            shared[s] = Fraction(s, 6) if s % 6 else s // 6
         _hurwitz_cache[n] = shared[s]
     _hurwitz_cache_max = nmax
 
 
-def hurwitz(n: int) -> Fraction:
-    """Hurwitz class number H(n), with H(0) = -1/12 and H(n) = 0 for n = 1, 2 mod 4."""
+def hurwitz(n: int) -> int | Fraction:
+    """Hurwitz class number H(n), with H(0) = -1/12 and H(n) = 0 for n = 1, 2 mod 4;
+    an int where it is integral, a Fraction (denominator 2, 3 or 12) only at
+    n = 0, 3k^2 and 4k^2."""
     if n < 0:
         raise DomainError(f"H(n) needs n >= 0, got {n}")
     if n == 0:
@@ -70,10 +76,10 @@ def hurwitz(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ClassNumberTable:
-    """H(N) for 0 <= N <= max, as exact rationals."""
+    """H(N) for 0 <= N <= max, exact: the same int or Fraction as `hurwitz`."""
 
     max: int
-    values: dict[int, Fraction]
+    values: dict[int, int | Fraction]
 
     @classmethod
     def build(cls, nmax: int) -> "ClassNumberTable":
@@ -83,7 +89,8 @@ class ClassNumberTable:
         return cls(max=nmax, values={n: _hurwitz_cache.get(n, _ZERO) for n in range(nmax + 1)})
 
     def rows(self):
-        """(N, numerator, denominator) triples in increasing N."""
+        """(N, numerator, denominator) triples in increasing N; an int value
+        has denominator 1."""
         for n in range(self.max + 1):
             v = self.values[n]
             yield n, v.numerator, v.denominator

@@ -256,8 +256,9 @@ def theta(mu: int, qbound) -> JacobiExpansion:
     return JacobiExpansion(Fraction(1, 2), 1, 4, coeffs, qbound)
 
 
-def _class_numbers(first: int, step: int, stop: int) -> dict[int, Fraction]:
-    """{N: H(N)} over range(first, stop, step), the zero values left out."""
+def _class_numbers(first: int, step: int, stop: int) -> dict[int, int | Fraction]:
+    """{N: H(N)} over range(first, stop, step), the zero values left out; the
+    values are `hurwitz`'s own, so integral ones are ints."""
     return {n: h for n in range(first, stop, step) if (h := hurwitz(n))}
 
 
@@ -390,7 +391,12 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     are nonnegative, so the image lies on |R| <= isqrt(4N), the keys visited.
     The cost is (output keys) x tau(n^2) x n lookups plus that check: one
     pass over a dict input, a scan to the first nonzero entry of a table.
-    A sparse dict input with a large bound still pays for every output key.
+    A dict input's terms reach no order N above tj_needed_nmax(n, n_top),
+    n_top its largest stored order (with 4n' >= r'^2 the reached N is at most
+    n^2 n' + 2n(n-1) sqrt(n') + (n-1)^2), so the loop over N stops there: a
+    sparse input with a large bound pays for the output keys it can reach,
+    and an empty one for none.  An output sum v with den | v is stored as
+    the int v // den, any other as Fraction(v, den).
     """
     _require_integral(f, "apply_T_jacobi")
     if f.index != 1:
@@ -422,9 +428,12 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                     block = d // (eps * t)
                     sieve.append((block, mt * block))
         parts.append((a, d, base, sieve))
+    n_stop = q_out
+    if f._table is None:
+        n_stop = min(q_out, tj_needed_nmax(n, max(m for m, _ in f.coeffs)) + 1) if f.coeffs else 0
     get = f.coeff
     coeffs: dict[tuple[int, int], int | Fraction] = {}
-    for N in range(q_out):
+    for N in range(n_stop):
         top = isqrt(4 * N)
         for R in range(-top, top + 1):
             v = 0
@@ -443,7 +452,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
                         acc += sum(kappa for block, kappa in sieve if np_ % block == 0) * c
                 v += base * acc
             if v:
-                coeffs[(N, R)] = Fraction(v, den)
+                coeffs[(N, R)] = Fraction(v, den) if v % den else v // den
     return JacobiExpansion(f.weight, 1, 1, coeffs, q_out)
 
 

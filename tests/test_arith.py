@@ -62,6 +62,20 @@ def test_class_number_table_invariants():
             assert h > 0
 
 
+def test_class_numbers_are_ints_except_at_the_weighted_forms():
+    # H(N) is a Fraction exactly at N = 0, 3k^2 and 4k^2, where k(x^2+xy+y^2)
+    # and k(x^2+y^2) weigh 1/3 and 1/2; every other value is an int
+    table = ClassNumberTable.build(5000).values
+    weighted = {0} | {m * k * k for k in range(1, 41) for m in (3, 4) if m * k * k <= 5000}
+    denominators = set()
+    for n in range(5001):
+        h = hurwitz(n)
+        assert (type(h) is Fraction) == (n in weighted), n
+        assert type(table[n]) is type(h) and table[n] == h, n
+        denominators.add(h.denominator)
+    assert denominators == {1, 2, 3, 12}
+
+
 def test_hurwitz_is_l_zero_chi_at_fundamental_discriminants():
     # H(|D|) = 2 h(D) / w(D) = L(0, chi_D): a Kronecker sum against the form count
     for d in range(-3, -3001, -1):

@@ -324,6 +324,8 @@ GOLDEN = {
         "f2073231e4c59900549dcb4966fb7c6c311c4990c32bd839a404758a71803708",
     "classnum --max 100 --format csv":
         "42bdbdcc6e4517b302a6ce017dd9d4b294da6f137e51f220820dd17d6e9b87c9",
+    "classnum --max 2000":
+        "60987b929e4606bc097d64cc35335a25e7fe5564ad850bc50ac1c1876e4f1e06",
     "hecke v --n 3 --qbound 10":
         "1b0f488e8396c1322b0a86c7693f5ca8f6b5da1a5e6168c098db94c89affff8d",
     "lift psi --qbound 20":

@@ -564,6 +564,50 @@ def test_pull_form_matches_push_oracle_on_random_inputs(n):
                 assert want.coeffs and _same_image(got, want), (n, seed, k, fractional)
 
 
+def _count_reads(f, budget):
+    """Make `f.coeff` count its calls, failing past `budget` of them."""
+    reads = []
+
+    def coeff(n_scaled, r):
+        reads.append(n_scaled)
+        assert len(reads) <= budget, "read past the reach of the input"
+        return JacobiExpansion.coeff(f, n_scaled, r)
+
+    f.coeff = coeff
+    return reads
+
+
+@pytest.mark.parametrize("n, n_top", [(1, 40), (2, 12), (3, 6), (4, 2)])
+def test_pull_form_stops_at_the_reach_of_a_sparse_input(n, n_top):
+    # a few terms of order <= n_top under the bound 10^4: the image is the
+    # push oracle's, and the loop over N stops at tj_needed_nmax(n, n_top) + 1
+    # (each key read at most tau(n^2) n times), far below the output bound
+    for seed in range(3):
+        rng = random.Random(f"{n}:{seed}")
+        keys = {(n_top, 0)}
+        while len(keys) < 6:
+            m = rng.randint(0, n_top)
+            keys.add((m, rng.randint(-isqrt(4 * m), isqrt(4 * m))))
+        f = JacobiExpansion(2, 1, 1, {key: Fraction(rng.choice((-5, -1, 1, 7)),
+                                                    rng.choice((1, 1, 3)))
+                                      for key in keys}, 10**4)
+        want = _apply_T_jacobi_push(f, n)
+        stop = tj_needed_nmax(n, n_top) + 1
+        assert stop < want.qbound
+        reads = _count_reads(f, sum(2 * isqrt(4 * N) + 1 for N in range(stop))
+                             * len(divisors(n * n)) * n)
+        got = apply_T_jacobi(f, n)
+        assert want.coeffs and _same_image(got, want) and reads, (n, seed)
+
+
+def test_empty_input_returns_at_once():
+    z = JacobiExpansion(2, 1, 1, {}, 10**4)
+    _count_reads(z, 0)  # any coefficient read fails
+    out = apply_T_jacobi(z, 2)
+    assert out.coeffs == {}
+    assert out.qbound == _apply_T_jacobi_push(z, 2).qbound == 2401
+
+
 def test_pull_form_matches_push_oracle_on_e21():
     for p in (2, 3, 5):
         f = e21_expansion(tj_needed_nmax(p, 14) + 1)
