@@ -365,6 +365,22 @@ def tj_needed_nmax(n: int, N: int) -> int:
     return n * n * (N + isqrt(4 * N) * (n - 1) + (n - 1) ** 2)
 
 
+def _tj_output_bound(n: int, qbound) -> int:
+    """The least N >= 0 with tj_needed_nmax(n, N) >= qbound: the output bound
+    of T_n on an input known below q^qbound.  tj_needed_nmax is
+    nondecreasing in N and at least N, so the least N lies in [0, hi] with
+    hi = max(1, ceil(qbound)), found by bisection; hi >= 1 makes the first
+    probe refuse n < 1."""
+    lo, hi = 0, max(1, ceil(qbound))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tj_needed_nmax(n, mid) >= qbound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     """Index-preserving Hecke action on an index-1 expansion, by exact
     evaluation of the full geometric character sums.
@@ -401,9 +417,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     _require_integral(f, "apply_T_jacobi")
     if f.index != 1:
         raise DomainError("only index 1 is supported")
-    q_out = 0
-    while tj_needed_nmax(n, q_out) < f.qbound:  # refuses n < 1
-        q_out += 1
+    q_out = _tj_output_bound(n, f.qbound)  # refuses n < 1
     k = int(f.weight)
     dmin = f.min_discriminant()
     if dmin is not None and dmin < 0:

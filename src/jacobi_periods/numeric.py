@@ -35,18 +35,22 @@ Conventions fixed by computation rather than assumption:
   first asks that R' be a Hecke eigenfunction modulo the ideal and the
   second compares against E|V_n from `e21_value`.  `PeriodEvaluator` keeps
   the quadrature of the integral above as the independent oracle of the
-  checks that the closed form would make tautologies.  It is sixty to
-  a hundred times slower than the closed form at a process's first tau and
-  ten times at each further tau, on any evaluator, which reuses the
-  process-wide ray theta factors; its memos are keyed by the exact tau or
-  node and the precision.  With
+  checks that the closed form would make tautologies.  It walks mpmath's
+  tanh-sinh nodes once per piece of the ray for both mu, with the
+  arithmetic of `mp.quad` and so its bits.  It is about fifty times slower
+  than the closed form at a process's first tau, which fills the
+  process-wide tables of ray theta factors, and about six times at each
+  further tau, on any evaluator; its memos are keyed by the exact tau or
+  the (piece, degree) and the precision.  With
   the closed form the transformation law would reduce to phi|T = phi, the
   four-term relation would telescope to R'|T^4 - R', and the extended
   relation would reduce to the lattice invariance of R'.  A test compares
   the two evaluators at points from Im tau = 0.1 to 10.
 
 Every theta value, at (tau, z) and on the quadrature's ray alike, comes
-from the one sum `theta_value`, which builds its terms by recurrence.
+from the one sum `_theta_sums`, which builds its terms by recurrence:
+`theta_value` takes one component and `theta_pair` both from one pair of
+exponentials.
 
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
@@ -69,6 +73,7 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import DomainError, PrecisionError
 from .fourier import JacobiExpansion, QSeries, e21_expansion, h_mu_series
@@ -302,6 +307,40 @@ def slash_formal_sum(fval, f: FormalSum, k, m):
 _GUARD_DPS = 5
 
 
+@cache
+def _kexp(prec: int):
+    """(dps + 4) ln(10) / (2 pi) at binary precision prec: theta is truncated
+    where e^(-2 pi (r^2 v/4 - |r y|)) drops below 10^-(dps+4)."""
+    with mp.workprec(prec):
+        return (mp.mp.dps + 4) * mp.log(10) / (2 * mp.pi)
+
+
+def _theta_sums(mus, tau, z):
+    """[theta_mu(tau, z) for mu in mus]: the exponentials e(tau/4) and e(z),
+    their powers and the truncation rmax are taken once for all components,
+    and each component runs its own recurrence."""
+    tau, z = mp.mpc(tau), mp.mpc(z)
+    v, y = mp.im(tau), abs(mp.im(z))
+    rmax = int(2 * (y + mp.sqrt(y * y + v * _kexp(mp.mp.prec))) / v) + 2
+    sums = []
+    with mp.workdps(mp.mp.dps + _GUARD_DPS):
+        q4, zeta = _e(tau / 4), _e(z)
+        q, inv = q4**4, 1 / zeta
+        q2, zeta2, inv2 = q * q, zeta * zeta, inv * inv
+        for mu in mus:
+            # q^(r^2/4), q^(r+1), zeta^r and zeta^-r at r = mu
+            term, step, up, down = q4 ** (mu * mu), q ** (mu + 1), zeta**mu, inv**mu
+            total = term * (up + down) if mu else term
+            for _ in range(mu + 2, rmax + 1, 2):
+                term *= step
+                step *= q2
+                up *= zeta2
+                down *= inv2
+                total += term * (up + down)
+            sums.append(total)
+    return sums
+
+
 def theta_value(mu: int, tau, z):
     """theta_mu(tau, z) = sum over r = mu mod 2 of q^(r^2/4) zeta^r, truncated
     where the term magnitude e^(-2 pi (r^2 v/4 - |r y|)) is provably below
@@ -311,24 +350,13 @@ def theta_value(mu: int, tau, z):
     q^((r-2)^2/4) q^(r-1) and zeta^(+-r) = zeta^(+-(r-2)) zeta^(+-2), so a
     call takes the two exponentials e(tau/4) and e(z).  The recurrence runs
     with `_GUARD_DPS` extra digits, and the sum keeps them."""
-    tau, z = mp.mpc(tau), mp.mpc(z)
-    v, y = mp.im(tau), abs(mp.im(z))
-    kexp = (mp.mp.dps + 4) * mp.log(10) / (2 * mp.pi)
-    rmax = int(2 * (y + mp.sqrt(y * y + v * kexp)) / v) + 2
-    with mp.workdps(mp.mp.dps + _GUARD_DPS):
-        q4, zeta = _e(tau / 4), _e(z)
-        q, inv = q4**4, 1 / zeta
-        q2, zeta2, inv2 = q * q, zeta * zeta, inv * inv
-        # q^(r^2/4), q^(r+1), zeta^r and zeta^-r at r = mu
-        term, step, up, down = q4 ** (mu * mu), q ** (mu + 1), zeta**mu, inv**mu
-        total = term * (up + down) if mu else term
-        for _ in range(mu + 2, rmax + 1, 2):
-            term *= step
-            step *= q2
-            up *= zeta2
-            down *= inv2
-            total += term * (up + down)
-    return total
+    return _theta_sums((mu,), tau, z)[0]
+
+
+def theta_pair(tau, z):
+    """(theta_0(tau, z), theta_1(tau, z)) from one pair of exponentials; each
+    component is bit-identical to its `theta_value`."""
+    return tuple(_theta_sums((0, 1), tau, z))
 
 
 def beta_fn(x):
@@ -371,36 +399,97 @@ def _completion_series(mu: int, tau):
     return total / mp.sqrt(v)
 
 
-# The ray theta factors of `PeriodEvaluator`, per (piece, mu, precision) and
-# exact quadrature node, shared by every evaluator of the process.  They do not
-# depend on tau, and the nodes are those of mpmath's tanh-sinh rule, whose own
+# The pieces of the ray (0, i inf) in `PeriodEvaluator`: the quadrature
+# interval of each.
+_PIECES = {"upper": (1, mp.inf), "lower": (0, 1)}
+
+# The node-aligned ray tables of `PeriodEvaluator`, per (piece, degree,
+# precision), shared by every evaluator of the process.  They do not depend
+# on tau, and the nodes are those of mpmath's tanh-sinh rule, whose own
 # process-wide cache keeps them per (degree, precision): this memo grows as
 # that one does, with each new precision or degree, and never with new taus.
 _RAY: dict = {}
 
+# The kernel exponent -3/2 as a raw mpf, exact at every precision.
+_P32 = mp.mpf(-1.5)._mpf_
 
-def _ray_theta(piece: str, mu: int, node):
-    """The real theta factor of a ray piece at its quadrature node:
-    theta_mu(i t, 0) at the upper node t, and theta_0(i/(4u^2), mu/4) =
-    (2u^2)^(1/2) theta_mu(i u^2, 0), the theta inversion, at the lower node u."""
-    memo = _RAY.setdefault((piece, mu, mp.mp.prec), {})
-    value = memo.get(node)
-    if value is None:
-        theta = (theta_value(mu, 1j * node, 0) if piece == "upper"
-                 else theta_value(0, 1j / (4 * node * node), mp.mpf(mu) / 4))
-        value = memo[node] = theta.real
-    return value
+
+def _ray_table(piece: str, degree: int, prec: int):
+    """One row (s, w, F_0, F_1) of raw mpf values per tanh-sinh node x of the
+    piece at this degree and precision: w is the node's weight, tau + i s
+    the kernel argument and F_mu the real theta factor of mu:
+
+    * upper, on [1, inf): s = t = x and F_mu = theta_mu(i t, 0) - (1 - mu),
+      theta minus its limit as t -> inf;
+    * lower, on [0, 1]: s = u^2 (u = x) and F_mu = theta_0(i/(4u^2), mu/4)
+      = (2u^2)^(1/2) theta_mu(i u^2, 0), the theta inversion.
+
+    Built at the quadrature's working precision prec + 20 (the active one)."""
+    key = (piece, degree, prec)
+    if key not in _RAY:
+        rows = []
+        for x, w in mp.mp._tanh_sinh.get_nodes(*_PIECES[piece], degree, prec):
+            if piece == "upper":
+                shift = x
+                factors = [theta.real - (1 - mu) for mu, theta in enumerate(theta_pair(1j * x, 0))]
+            else:
+                shift = x * x
+                factors = [theta_value(0, 1j / (4 * x * x), mp.mpf(mu) / 4).real for mu in (0, 1)]
+            rows.append((shift._mpf_, w._mpf_, *(f._mpf_ for f in factors)))
+        _RAY[key] = rows
+    return _RAY[key]
+
+
+def _ray_integrals(piece: str, tau, maxdegree: int):
+    """[mp.quad(lambda s: (tau + i s)^(-3/2) F_mu(s), piece, maxdegree=
+    maxdegree) for mu in (0, 1)] bit for bit, with F_mu the factors of
+    `_ray_table` (s = u^2 on the lower piece), from one walk over the nodes.
+
+    The walk replays `mp.quad`'s tanh-sinh summation: at prec + 20, degree by
+    degree, the step sum h (S_prev / 2h + sum w f(x)) with the dot product
+    rounded once, `estimate_error` and the stop at epsilon = eps/8, for each mu
+    separately; the result is rounded to prec.  Each kernel power is taken
+    once per node for both mu, by the call `mpc ** mpf` makes."""
+    rule, prec, epsilon = mp.mp._tanh_sinh, mp.mp.prec, mp.eps / 8
+    results, running = ([], []), [0, 1]
+    with mp.workprec(prec + 20):
+        wprec, rnd = mp.mp._prec_rounding
+        # tau + i s as `mpc_add` forms it: the real part once, the imaginary per node
+        tim = tau._mpc_[1]
+        re = libmp.mpf_add(tau._mpc_[0], libmp.fzero, wprec, rnd)
+        for degree in range(1, maxdegree + 1):
+            parts = {mu: ([], []) for mu in running}
+            for s, w, *factors in _ray_table(piece, degree, prec):
+                kre, kim = libmp.mpc_pow_mpf((re, libmp.mpf_add(tim, s, wprec, rnd)), _P32, wprec, rnd)
+                for mu, (real, imag) in parts.items():
+                    # the value rounded as `mpc * mpf` rounds it, then the
+                    # exact products with the weight that `fdot` sums
+                    f = factors[mu]
+                    real.append(libmp.mpf_mul(w, libmp.mpf_mul(kre, f, wprec, rnd)))
+                    imag.append(libmp.mpf_mul(w, libmp.mpf_mul(kim, f, wprec, rnd)))
+            h = mp.mpf(2) ** (-degree)
+            for mu, (real, imag) in parts.items():
+                step = mp.make_mpc((libmp.mpf_sum(real, wprec, rnd), libmp.mpf_sum(imag, wprec, rnd)))
+                total = results[mu][-1] / (h * 2) if results[mu] else mp.mp.zero
+                total += step
+                results[mu].append(h * total)
+                if degree > 1 and rule.estimate_error(results[mu], prec, epsilon) <= epsilon:
+                    running.remove(mu)
+            if not running:
+                break
+    return [+r[-1] for r in results]  # rounded to prec, as mp.quad returns
 
 
 class PeriodEvaluator:
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
     component integrals along the ray (0, i inf).  Both integrals at a tau are
-    computed together and memoized per (exact tau, precision) with the
-    instance; they share the quadrature nodes, so each kernel power
-    (tau + i t)^(-3/2) is computed once for both.  The ray theta factors come
-    from the process-wide memo `_RAY`, so a new tau recomputes only the kernel
-    powers and the two theta_mu(tau, z).  A hit is bit-identical to a fresh
-    evaluation.
+    computed together, by one walk over the quadrature nodes per piece of the
+    ray (`_ray_integrals`), which takes each kernel power (tau + i t)^(-3/2)
+    once for both, and memoized per (exact tau, precision) with the instance.
+    The ray theta factors come from the process-wide node-aligned tables
+    `_RAY`, so a new tau computes only the kernel powers and the two
+    theta_mu(tau, z).  The walk equals `mp.quad` of each integral bit for bit,
+    and a hit is bit-identical to a fresh evaluation.
 
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
@@ -421,27 +510,16 @@ class PeriodEvaluator:
 
     def _integrals(self, tau):
         """The component integrals at tau for mu = 0 and 1."""
-        p32 = mp.mpf(-1.5)
-        upper_kernel = cache(lambda t: (tau + 1j * t) ** p32)
-        lower_kernel = cache(lambda u: (tau + 1j * u * u) ** p32)
-        out = []
-        for mu in (0, 1):
-            # theta_mu(i t, 0) tends to 1 - mu as t -> inf; the limit integrates
-            # to 2 (tau + i)^(-1/2) in closed form, and theta minus it is
-            # exponentially small for t >= 1
-            limit = 1 - mu
-            upper = limit * 2 / mp.sqrt(tau + 1j) + 1j * mp.quad(
-                lambda t: upper_kernel(t) * (_ray_theta("upper", mu, t) - limit),
-                [1, mp.inf], maxdegree=self.cfg.quad_nodes)
-            # lower piece via t = u^2 and the theta inversion: the integrand
-            # (tau + i u^2)^(-3/2) (2 u^2)^(1/2) theta_mu(i u^2, 0) is smooth on
-            # [0, 1]
-            lower = 1j * mp.sqrt(2) * mp.quad(
-                lambda u: lower_kernel(u) * _ray_theta("lower", mu, u)
-                if u > 0 else tau**p32,
-                [0, 1], maxdegree=self.cfg.quad_nodes)
-            out.append(upper + lower)
-        return out
+        # theta_mu(i t, 0) tends to 1 - mu as t -> inf; the limit integrates to
+        # 2 (tau + i)^(-1/2) in closed form, and theta minus it is exponentially
+        # small for t >= 1.  The lower piece is taken via t = u^2 and the theta
+        # inversion: the integrand (tau + i u^2)^(-3/2) (2 u^2)^(1/2)
+        # theta_mu(i u^2, 0) is smooth on [0, 1], and no tanh-sinh node lies
+        # at u = 0.
+        upper = _ray_integrals("upper", tau, self.cfg.quad_nodes)
+        lower = _ray_integrals("lower", tau, self.cfg.quad_nodes)
+        return [(1 - mu) * 2 / mp.sqrt(tau + 1j) + 1j * upper[mu] + 1j * mp.sqrt(2) * lower[mu]
+                for mu in (0, 1)]
 
     def __call__(self, tau, z):
         with mp.workdps(self.cfg.dps):
@@ -493,10 +571,10 @@ def _h_mu_series_value(mu: int, tau, cfg):
 
 def _theta_decomposition(tau, z, component):
     """sum_mu F_mu(tau) theta_mu(tau, z) over mu in {0, 1}, with F_mu =
-    component(mu)."""
+    component(mu) and both theta_mu from one `theta_pair`."""
     total = mp.mpc(0)
-    for mu in (0, 1):
-        total += component(mu) * theta_value(mu, tau, z)
+    for mu, theta in enumerate(theta_pair(tau, z)):
+        total += component(mu) * theta
     return total
 
 

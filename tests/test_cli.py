@@ -344,6 +344,10 @@ GOLDEN = {
         "823a1fc1692ee1c273080742229afd75a873dcfb82e927fcf7f23c18a96e47bd",
     "verify theorem1":
         "9f51beff0fa162b989ec928d6c649e396f0cc06e418f97163159c935656a6208",
+    "verify numeric --check relations --precision 45":
+        "e5b5d2dc1f8b515cc015e03cb57d3fa011d77641b60c7a8b3c33612f780fd702",
+    "verify numeric --check translaw --precision 60 --quad-nodes 7":
+        "0d2cdd532b75ee1e181230e956e9fb53ba23e31d8a1960afdd31922ce4dd64ec",
 }
 
 

@@ -608,6 +608,35 @@ def test_empty_input_returns_at_once():
     assert out.qbound == _apply_T_jacobi_push(z, 2).qbound == 2401
 
 
+def _output_bound_by_steps(n, qbound):
+    q_out = 0
+    while tj_needed_nmax(n, q_out) < qbound:
+        q_out += 1
+    return q_out
+
+
+def test_output_bound_bisection_matches_the_linear_search():
+    # the least q_out with tj_needed_nmax(n, q_out) >= qbound, at every step
+    # of tj_needed_nmax, one below and one above it, and between the steps
+    for n in range(1, 8):
+        steps = [tj_needed_nmax(n, N) for N in range(12)]
+        bounds = {0, 1, Fraction(9, 2)}
+        bounds |= {s + d for s in steps for d in (-1, 0, 1)}
+        bounds |= {s + Fraction(d, 2) for s in steps for d in (-1, 1)}
+        for b in sorted(bounds):
+            for qbound in (b, Fraction(b)):
+                got = fourier._tj_output_bound(n, qbound)
+                assert got == _output_bound_by_steps(n, qbound), (n, qbound)
+                assert type(got) is int
+    # a large bound, through `apply_T_jacobi` on an empty input
+    for n, qbound in ((1, 10**5), (2, Fraction(10**5)), (3, Fraction(2 * 10**5 + 1, 2))):
+        out = apply_T_jacobi(JacobiExpansion(2, 1, 1, {}, qbound), n)
+        assert out.qbound == _output_bound_by_steps(n, qbound), (n, qbound)
+    for bad in (0, -1):
+        with pytest.raises(DomainError):
+            fourier._tj_output_bound(bad, 0)
+
+
 def test_pull_form_matches_push_oracle_on_e21():
     for p in (2, 3, 5):
         f = e21_expansion(tj_needed_nmax(p, 14) + 1)

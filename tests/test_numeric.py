@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
@@ -269,32 +270,55 @@ def test_period_evaluator_stability_and_periodicity():
     assert abs(P(1j, mp.mpc(0.1, 0.05)) - P(1j, mp.mpc(1.1, 0.05))) < 1e-12
 
 
+def _counting(monkeypatch, name, calls):
+    """Replace numeric.<name> by a wrapper that appends its arguments to calls."""
+    fn = getattr(numeric, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(numeric, name, counting)
+
+
 def test_period_evaluator_reuses_the_ray_factors(monkeypatch):
-    calls = []
-    theta = numeric.theta_value
-
-    def counting(mu, tau, z):
-        calls.append(mu)
-        return theta(mu, tau, z)
-
-    monkeypatch.setattr(numeric, "theta_value", counting)
+    pairs, singles = [], []
+    _counting(monkeypatch, "theta_pair", pairs)
+    _counting(monkeypatch, "theta_value", singles)
     monkeypatch.setattr(numeric, "_RAY", {})
     P = PeriodEvaluator(CFG)
     first, second = DEFAULT_POINTS[:2]
     P(first.tau, first.z)
-    assert len(calls) > 100  # the ray factors, one per quadrature node
-    seen = len(calls)
+    # one table per (piece, degree, precision) the walks read, each built once:
+    # one theta_pair per upper node, one theta_0 per lower node and mu, and the
+    # theta pair at (tau, z)
+    prec = mp.libmp.dps_to_prec(CFG.dps)
+    degrees = {piece: sorted(d for p, d, pr in numeric._RAY if p == piece and pr == prec)
+               for piece in ("upper", "lower")}
+    assert len(numeric._RAY) == len(degrees["upper"]) + len(degrees["lower"])
+    for piece, ds in degrees.items():
+        assert ds == list(range(1, len(ds) + 1)) and 1 < len(ds) <= CFG.quad_nodes, piece
+    rows = {piece: sum(len(numeric._RAY[piece, d, prec]) for d in ds) for piece, ds in degrees.items()}
+    assert rows["upper"] > 100 and rows["lower"] > 100
+    assert len(pairs) == rows["upper"] + 1 and len(singles) == 2 * rows["lower"]
+    assert pairs[0] == (mp.mpc(first.tau), mp.mpc(first.z))  # read before the integrals
     # the second tau needs no quadrature degree beyond the first's, so every
-    # ray factor it reads is memoized: only theta_mu(tau, z) for mu = 0, 1
-    # is evaluated
+    # ray factor it reads is in a table: only the theta pair at (tau, z) is
+    # evaluated
+    tables = dict(numeric._RAY)
+    seen = len(pairs), len(singles)
     P(second.tau, second.z)
-    assert calls[seen:] == [0, 1]
-    # the ray factors are shared by every evaluator: a fresh one at a new
-    # tau evaluates only theta_mu(tau, z) as well
-    seen = len(calls)
+    assert pairs[seen[0]:] == [(mp.mpc(second.tau), mp.mpc(second.z))]
+    assert len(singles) == seen[1]
+    # the tables are shared by every evaluator: a fresh one at a new tau
+    # evaluates only its theta pair as well, and builds no table
+    seen = len(pairs), len(singles)
     third = DEFAULT_POINTS[2]
     PeriodEvaluator(CFG)(third.tau, third.z)
-    assert calls[seen:] == [0, 1]
+    assert pairs[seen[0]:] == [(mp.mpc(third.tau), mp.mpc(third.z))]
+    assert len(singles) == seen[1]
+    assert numeric._RAY.keys() == tables.keys()
+    assert all(numeric._RAY[key] is table for key, table in tables.items())
 
 
 def test_ray_factor_memo_keeps_values_exact(monkeypatch):
@@ -316,27 +340,108 @@ def test_ray_factor_memo_keeps_values_exact(monkeypatch):
 
 
 def test_both_component_integrals_come_from_one_computation(monkeypatch):
-    # the mu = 1 integral at a tau already computed for mu = 0 makes no
-    # quadrature call
-    quads = []
-    quad = mp.quad
+    # one walk per piece of the ray gives both mu; the mu = 1 integral at a
+    # tau already computed for mu = 0 walks no more, and no mp.quad is made
+    walks = []
+    _counting(monkeypatch, "_ray_integrals", walks)
 
-    def counting(*args, **kwargs):
-        quads.append(1)
-        return quad(*args, **kwargs)
+    def no_quad(*args, **kwargs):
+        raise AssertionError("PeriodEvaluator called mp.quad")
 
     P = PeriodEvaluator(CFG)
     with mp.workdps(CFG.dps):
         tau = mp.mpc(0.1, 1.2)
-        monkeypatch.setattr(mp, "quad", counting)
+        monkeypatch.setattr(mp, "quad", no_quad)
         first = P.component_integral(0, tau)
-        assert len(quads) == 4  # two pieces for each mu
+        assert [(piece, t, m) for piece, t, m in walks] == [
+            ("upper", tau, CFG.quad_nodes), ("lower", tau, CFG.quad_nodes)]
         second = P.component_integral(1, tau)
-        assert len(quads) == 4
-        # asked for mu = 1 first, a fresh evaluator computes the same pair
+        assert len(walks) == 2
+        # asked for mu = 1 first after a table reset, a fresh evaluator
+        # computes the same pair, bit for bit
         monkeypatch.setattr(numeric, "_RAY", {})
         fresh = PeriodEvaluator(CFG)
         assert (fresh.component_integral(1, tau), fresh.component_integral(0, tau)) == (second, first)
+        assert len(walks) == 4 and numeric._RAY
+
+
+def _ray_quad(piece, mu, tau, maxdegree, memo):
+    """mp.quad of one ray piece's integrand at the active precision, the
+    theta factor read through memo (keyed by piece, mu, precision and node)."""
+    p32 = mp.mpf(-1.5)
+    calls = []
+
+    def factor(s):
+        key = (piece, mu, mp.mp.prec, s)
+        if key not in memo:
+            memo[key] = (theta_value(mu, 1j * s, 0).real - (1 - mu) if piece == "upper"
+                         else theta_value(0, 1j / (4 * s * s), mp.mpf(mu) / 4).real)
+        return memo[key]
+
+    def integrand(s):
+        calls.append(s)
+        shift = 1j * s if piece == "upper" else 1j * s * s
+        return (tau + shift) ** p32 * factor(s)
+
+    value = mp.quad(integrand, [1, mp.inf] if piece == "upper" else [0, 1], maxdegree=maxdegree)
+    return value, len(calls)
+
+
+@pytest.mark.parametrize("dps, nodes", [(30, 6), (30, 7), (45, 6), (45, 7), (60, 6), (60, 7)])
+def test_ray_walk_equals_mp_quad(dps, nodes):
+    # mp.quad of each (piece, mu) integrand is the oracle of the one-pass walk,
+    # bit for bit, from Im tau = 0.1 to 10
+    rng = random.Random(dps * 10 + nodes)
+    memo = {}
+    with mp.workdps(dps):
+        taus = [mp.mpc(0, 0.1), mp.mpc(0, 10),
+                mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.1, 3))]
+        for tau in taus:
+            for piece in ("upper", "lower"):
+                walked = numeric._ray_integrals(piece, tau, nodes)
+                for mu in (0, 1):
+                    want, _ = _ray_quad(piece, mu, tau, nodes, memo)
+                    assert walked[mu]._mpc_ == want._mpc_, (tau, piece, mu)
+
+
+def test_ray_walk_stops_each_mu_at_its_own_degree():
+    # at 30 digits and tau = i/10 the upper piece converges at degree 5 for
+    # mu = 0 and runs to degree 6 for mu = 1: one walk serves both
+    with mp.workdps(30):
+        tau = mp.mpc(0, 0.1)
+        memo = {}
+        (q0, n0), (q1, n1) = (_ray_quad("upper", mu, tau, 6, memo) for mu in (0, 1))
+        assert n0 < n1  # mp.quad stopped mu = 0 first
+        prec = mp.mp.prec
+        assert n0 == sum(len(numeric._ray_table("upper", d, prec)) for d in range(1, 6))
+        assert n1 == n0 + len(numeric._ray_table("upper", 6, prec))
+        walked = numeric._ray_integrals("upper", tau, 6)
+        assert (walked[0]._mpc_, walked[1]._mpc_) == (q0._mpc_, q1._mpc_)
+
+
+def test_theta_pair_equals_both_components():
+    # one call gives both components: each equals the term-by-term sum as
+    # `theta_value` does, and `theta_value` itself bit for bit
+    rng = random.Random(11)
+    points = [(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3)),
+               complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))) for _ in range(6)]
+    with mp.workdps(30):
+        points += [(1j * t, 0) for t in (mp.mpf(1), mp.mpf("1.5"), mp.mpf(7))]  # upper ray
+        points += [(1j / (4 * u * u), z) for u in (mp.mpf("0.05"), mp.mpf("0.3"), mp.mpf("0.77"),
+                                                   mp.mpf(1)) for z in (0, mp.mpf(1) / 4)]  # lower
+    for tau, z in points:
+        for dps in (30, 45):
+            with mp.workdps(dps):
+                pair = numeric.theta_pair(tau, z)
+                assert len(pair) == 2
+                for mu in (0, 1):
+                    assert pair[mu]._mpc_ == theta_value(mu, tau, z)._mpc_, (tau, z, mu, dps)
+        ref = [_theta_term_by_term(mu, tau, z) for mu in (0, 1)]
+        with mp.workdps(30):
+            pair = numeric.theta_pair(tau, z)
+        with mp.workdps(60):
+            for mu, (want, size) in enumerate(ref):
+                assert abs(pair[mu] - want) < 1e-30 * size, (tau, z, mu)
 
 
 def test_slash_sum_computes_each_completion_once_per_image(monkeypatch):
