@@ -15,12 +15,9 @@ from math import isqrt
 
 from .errors import DomainError
 
-_MINUS_ONE_TWELFTH = Fraction(-1, 12)
-_ZERO = 0
-
-# cache of H(N) values, extended in bulk by _extend_class_numbers
-_hurwitz_cache: dict[int, int | Fraction] = {0: _MINUS_ONE_TWELFTH}
-_hurwitz_cache_max = 0
+# H(n) for 0 <= n < len(_H), extended in bulk by _extend_class_numbers; the
+# residues 1 and 2 mod 4 hold 0
+_H: list[int | Fraction] = [Fraction(-1, 12)]
 
 
 def _extend_class_numbers(nmax: int) -> None:
@@ -31,10 +28,10 @@ def _extend_class_numbers(nmax: int) -> None:
     Weights are counted in integer sixths: for fixed (a, b) the forms with
     c > a have N = 4ac - b^2 in an arithmetic progression of step 4a, so each
     such row is one pass over a slice of the count list.  A count divisible
-    by 6 is stored as the int it stands for, any other as a Fraction.
+    by 6 is stored as the int it stands for, any other as a Fraction; no form
+    has N = 1 or 2 mod 4, so those count 0.
     """
-    global _hurwitz_cache_max
-    if nmax <= _hurwitz_cache_max:
+    if nmax < len(_H):
         return
     sixths = [0] * (nmax + 1)
     a = 1
@@ -49,14 +46,10 @@ def _extend_class_numbers(nmax: int) -> None:
             sixths[row] = [s + w for s in sixths[row]]
         a += 1
     shared: dict[int, int | Fraction] = {}  # one value object per distinct count
-    for n in range(_hurwitz_cache_max + 1, nmax + 1):
-        if n % 4 in (1, 2):
-            continue
-        s = sixths[n]
+    for s in sixths[len(_H):]:
         if s not in shared:
             shared[s] = Fraction(s, 6) if s % 6 else s // 6
-        _hurwitz_cache[n] = shared[s]
-    _hurwitz_cache_max = nmax
+        _H.append(shared[s])
 
 
 def hurwitz(n: int) -> int | Fraction:
@@ -65,13 +58,9 @@ def hurwitz(n: int) -> int | Fraction:
     n = 0, 3k^2 and 4k^2."""
     if n < 0:
         raise DomainError(f"H(n) needs n >= 0, got {n}")
-    if n == 0:
-        return _MINUS_ONE_TWELFTH
-    if n % 4 in (1, 2):
-        return _ZERO
-    if n > _hurwitz_cache_max:
-        _extend_class_numbers(max(n, 2 * _hurwitz_cache_max, 256))
-    return _hurwitz_cache[n]
+    if n >= len(_H):
+        _extend_class_numbers(max(n, 2 * len(_H), 256))
+    return _H[n]
 
 
 @dataclass(frozen=True)
@@ -79,20 +68,19 @@ class ClassNumberTable:
     """H(N) for 0 <= N <= max, exact: the same int or Fraction as `hurwitz`."""
 
     max: int
-    values: dict[int, int | Fraction]
+    values: tuple[int | Fraction, ...]
 
     @classmethod
     def build(cls, nmax: int) -> "ClassNumberTable":
         if nmax < 0:
             raise DomainError(f"table bound must be nonnegative, got {nmax}")
-        _extend_class_numbers(nmax)  # the cache now holds every nonzero H(n), n <= nmax
-        return cls(max=nmax, values={n: _hurwitz_cache.get(n, _ZERO) for n in range(nmax + 1)})
+        _extend_class_numbers(nmax)
+        return cls(max=nmax, values=tuple(_H[:nmax + 1]))
 
     def rows(self):
         """(N, numerator, denominator) triples in increasing N; an int value
         has denominator 1."""
-        for n in range(self.max + 1):
-            v = self.values[n]
+        for n, v in enumerate(self.values):
             yield n, v.numerator, v.denominator
 
 

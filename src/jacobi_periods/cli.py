@@ -40,8 +40,7 @@ def _emit_csv(rows, header, args) -> None:
 
 
 def _config(args) -> numeric.NumericConfig:
-    return numeric.NumericConfig(qmax=args.qmax, quad_nodes=args.quad_nodes, tol=args.tol,
-                                 dps=args.precision)
+    return numeric.NumericConfig(quad_nodes=args.quad_nodes, dps=args.precision)
 
 
 def cmd_classnum(args) -> int:
@@ -236,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     suites = _commands(sub, "verify", "suite", "run a verification suite")
     literal = {"action": "store_true", "help": "demonstrate the documented source discrepancy"}
     d = numeric.DEFAULT_CONFIG
-    config = {"qmax": d.qmax, "quad_nodes": d.quad_nodes, "precision": d.dps,
-              "tol": {"type": float, "default": d.tol}}
+    config = {"quad_nodes": d.quad_nodes, "precision": d.dps}
     _leaf(suites, "thetadecomp", verify_thetadecomp, qbound=20)
     _leaf(suites, "eigen", verify_eigen, p=None, qbound=15)
     _leaf(suites, "diagram", verify_diagram, p=None, D=None, qbound=12, literal_paper=literal)

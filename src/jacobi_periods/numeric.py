@@ -33,24 +33,25 @@ Conventions fixed by computation rather than assumption:
   index-raising check (`check_tildeT_action`, `check_theorem1`) evaluate
   P this way; they stay non-trivial, because the
   first asks that R' be a Hecke eigenfunction modulo the ideal and the
-  second compares against E|V_n from `e21_value`.  `PeriodEvaluator` keeps
-  the quadrature of the integral above as the independent oracle of the
-  checks that the closed form would make tautologies.  It walks mpmath's
+  second compares against E|V_n from `e21_value`.  `period_quadrature`
+  keeps the quadrature of the integral above as the independent oracle of
+  the checks that the closed form would make tautologies.  It walks mpmath's
   tanh-sinh nodes once per piece of the ray for both mu, with the
   arithmetic of `mp.quad` and so its bits.  It is about fifty times slower
   than the closed form at a process's first tau, which fills the
   process-wide tables of ray theta factors, and about six times at each
-  further tau, on any evaluator; its memos are keyed by the exact tau or
-  the (piece, degree) and the precision.  With
+  further tau; the tables are keyed by the (piece, degree) and the
+  precision, and the integrals at a tau follow the memo rule below.  With
   the closed form the transformation law would reduce to phi|T = phi, the
   four-term relation would telescope to R'|T^4 - R', and the extended
   relation would reduce to the lattice invariance of R'.  A test compares
   the two evaluators at points from Im tau = 0.1 to 10.
 
 Every theta value, at (tau, z) and on the quadrature's ray alike, comes
-from the one sum `_theta_sums`, which builds its terms by recurrence:
-`theta_value` takes one component and `theta_pair` both from one pair of
-exponentials.
+from the one sum `_theta_sums`, which builds its terms by recurrence from
+one e(tau/4) and one e(z) per group of components at that z: `theta_value`
+takes one component, `theta_pair` both at one z, and a lower ray node
+theta_0 at z = 0 and 1/4.
 
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
@@ -58,19 +59,20 @@ tests read the gates from there.  Each check states its identity as a
 residual function, and `_worst` takes its largest magnitude over the points.
 
 All evaluations are pure; sums over Hecke terms are reduced by a fixed
-pairwise tree so results are bit-stable for a given configuration.  One
-evaluation of a slash sum computes each tau-only factor (the completion and
-the class-number components) once per image tau, from a memo that lives only
-as long as that evaluation.
+pairwise tree so results are bit-stable for a given configuration.  Each
+tau-only factor (c_mu, h_mu and the period integrals) is computed once per
+exact tau and precision inside a `_memo_scope`: one per evaluation of a
+slash sum, and one per quadrature-backed check.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import mpmath as mp
 from mpmath import libmp
@@ -93,13 +95,16 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class NumericConfig:
-    qmax: int = 48            # series truncation used when building expansions
     quad_nodes: int = 6       # maxdegree of mp.quad's tanh-sinh rule
-    tol: float = 1e-9         # verification tolerance for self-checks
     dps: int = 30             # working precision in decimal digits
+    # Constants, not fields: the floor of the h_mu truncation, which the order
+    # derived from Im tau already covers, and the largest tail bound
+    # `eval_expansion` accepts, far above the h_mu bounds at dps 30.
+    qmax: ClassVar[int] = 48
+    tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        if min(self.qmax, self.quad_nodes, self.dps) <= 0 or not self.tol > 0:
+        if min(self.quad_nodes, self.dps) <= 0:
             raise DomainError("all configuration fields must be positive")
 
 
@@ -263,16 +268,25 @@ def slash_ring_term(fval, e, k, m):
     return slash(fval, g, k, m)
 
 
-# The memo of the slash sum being evaluated, None outside one: the tau-only
-# factors `completion_term` and `_h_mu_value` keyed by their arguments, the
-# exact tau and the precision.  All lattice points of one matrix map to the
-# same image tau, so each factor is computed once per image.
+# The memo of the open `_memo_scope`, None outside one: the tau-only factors
+# `completion_term`, `_h_mu_value` and `_period_integrals`, keyed by their
+# arguments (the exact tau among them) and the precision.
 _SUM_MEMO: ContextVar[dict | None] = ContextVar("_SUM_MEMO", default=None)
 
 
+@contextmanager
+def _memo_scope():
+    """A fresh `_SUM_MEMO` for the block, closed on exit, however it exits."""
+    token = _SUM_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SUM_MEMO.reset(token)
+
+
 def _per_sum(fn, *args):
-    """fn(*args) at the active precision, read from the open slash sum's memo
-    if there is one; a hit is bit-identical to a fresh evaluation."""
+    """fn(*args) at the active precision, read from the open scope's memo if
+    there is one; a hit is bit-identical to a fresh evaluation."""
     memo = _SUM_MEMO.get()
     if memo is None:
         return fn(*args)
@@ -284,15 +298,13 @@ def _per_sum(fn, *args):
 
 def slash_formal_sum(fval, f: FormalSum, k, m):
     """Sum of the slashes over a formal sum's terms, pairwise-reduced; one
-    evaluation opens the memo `_SUM_MEMO` for its length."""
+    evaluation is one `_memo_scope`, since all lattice points of a matrix
+    share its image tau."""
     parts = [(slash_ring_term(fval, e, k, m), c) for e, c in f.sorted_terms()]
 
     def acted(tau, z):
-        token = _SUM_MEMO.set({})
-        try:
+        with _memo_scope():
             return pairwise_sum(c * fn(tau, z) for fn, c in parts)
-        finally:
-            _SUM_MEMO.reset(token)
 
     return acted
 
@@ -315,29 +327,36 @@ def _kexp(prec: int):
         return (mp.mp.dps + 4) * mp.log(10) / (2 * mp.pi)
 
 
-def _theta_sums(mus, tau, z):
-    """[theta_mu(tau, z) for mu in mus]: the exponentials e(tau/4) and e(z),
-    their powers and the truncation rmax are taken once for all components,
-    and each component runs its own recurrence."""
-    tau, z = mp.mpc(tau), mp.mpc(z)
-    v, y = mp.im(tau), abs(mp.im(z))
-    rmax = int(2 * (y + mp.sqrt(y * y + v * _kexp(mp.mp.prec))) / v) + 2
+def _theta_sums(tau, groups):
+    """[theta_mu(tau, z) for (z, mus) in groups for mu in mus]: the
+    exponential e(tau/4) and its powers are taken once for all, e(z), its
+    powers and the truncation rmax once per group, and each (mu, z) runs its
+    own recurrence."""
+    tau = mp.mpc(tau)
+    v = mp.im(tau)
+    groups = [(mp.mpc(z), mus) for z, mus in groups]
+    rmaxes = [int(2 * (y + mp.sqrt(y * y + v * _kexp(mp.mp.prec))) / v) + 2
+              for y in (abs(mp.im(z)) for z, _ in groups)]
     sums = []
     with mp.workdps(mp.mp.dps + _GUARD_DPS):
-        q4, zeta = _e(tau / 4), _e(z)
-        q, inv = q4**4, 1 / zeta
-        q2, zeta2, inv2 = q * q, zeta * zeta, inv * inv
-        for mu in mus:
-            # q^(r^2/4), q^(r+1), zeta^r and zeta^-r at r = mu
-            term, step, up, down = q4 ** (mu * mu), q ** (mu + 1), zeta**mu, inv**mu
-            total = term * (up + down) if mu else term
-            for _ in range(mu + 2, rmax + 1, 2):
-                term *= step
-                step *= q2
-                up *= zeta2
-                down *= inv2
-                total += term * (up + down)
-            sums.append(total)
+        q4 = _e(tau / 4)
+        q = q4**4
+        q2 = q * q
+        for (z, mus), rmax in zip(groups, rmaxes):
+            zeta = _e(z)
+            inv = 1 / zeta
+            zeta2, inv2 = zeta * zeta, inv * inv
+            for mu in mus:
+                # q^(r^2/4), q^(r+1), zeta^r and zeta^-r at r = mu
+                term, step, up, down = q4 ** (mu * mu), q ** (mu + 1), zeta**mu, inv**mu
+                total = term * (up + down) if mu else term
+                for _ in range(mu + 2, rmax + 1, 2):
+                    term *= step
+                    step *= q2
+                    up *= zeta2
+                    down *= inv2
+                    total += term * (up + down)
+                sums.append(total)
     return sums
 
 
@@ -350,13 +369,13 @@ def theta_value(mu: int, tau, z):
     q^((r-2)^2/4) q^(r-1) and zeta^(+-r) = zeta^(+-(r-2)) zeta^(+-2), so a
     call takes the two exponentials e(tau/4) and e(z).  The recurrence runs
     with `_GUARD_DPS` extra digits, and the sum keeps them."""
-    return _theta_sums((mu,), tau, z)[0]
+    return _theta_sums(tau, ((z, (mu,)),))[0]
 
 
 def theta_pair(tau, z):
     """(theta_0(tau, z), theta_1(tau, z)) from one pair of exponentials; each
     component is bit-identical to its `theta_value`."""
-    return tuple(_theta_sums((0, 1), tau, z))
+    return tuple(_theta_sums(tau, ((z, (0, 1)),)))
 
 
 def beta_fn(x):
@@ -382,7 +401,7 @@ def beta_fn_quadrature(x, cfg: NumericConfig = DEFAULT_CONFIG):
 def completion_term(mu: int, tau):
     """v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v) q^(-l^2/4); the
     nonholomorphic completion component attached to the class numbers, once
-    per slash sum (`_per_sum`)."""
+    per memo scope (`_per_sum`)."""
     return _per_sum(_completion_series, mu, mp.mpc(tau))
 
 
@@ -399,12 +418,12 @@ def _completion_series(mu: int, tau):
     return total / mp.sqrt(v)
 
 
-# The pieces of the ray (0, i inf) in `PeriodEvaluator`: the quadrature
+# The pieces of the ray (0, i inf) in `period_quadrature`: the quadrature
 # interval of each.
 _PIECES = {"upper": (1, mp.inf), "lower": (0, 1)}
 
-# The node-aligned ray tables of `PeriodEvaluator`, per (piece, degree,
-# precision), shared by every evaluator of the process.  They do not depend
+# The node-aligned ray tables of `period_quadrature`, per (piece, degree,
+# precision), shared by every evaluation in the process.  They do not depend
 # on tau, and the nodes are those of mpmath's tanh-sinh rule, whose own
 # process-wide cache keeps them per (degree, precision): this memo grows as
 # that one does, with each new precision or degree, and never with new taus.
@@ -434,7 +453,8 @@ def _ray_table(piece: str, degree: int, prec: int):
                 factors = [theta.real - (1 - mu) for mu, theta in enumerate(theta_pair(1j * x, 0))]
             else:
                 shift = x * x
-                factors = [theta_value(0, 1j / (4 * x * x), mp.mpf(mu) / 4).real for mu in (0, 1)]
+                thetas = _theta_sums(1j / (4 * x * x), ((0, (0,)), (mp.mpf(1) / 4, (0,))))
+                factors = [theta.real for theta in thetas]
             rows.append((shift._mpf_, w._mpf_, *(f._mpf_ for f in factors)))
         _RAY[key] = rows
     return _RAY[key]
@@ -480,52 +500,39 @@ def _ray_integrals(piece: str, tau, maxdegree: int):
     return [+r[-1] for r in results]  # rounded to prec, as mp.quad returns
 
 
-class PeriodEvaluator:
+def _period_integrals(tau, degree: int):
+    """The component integrals int_0^{i inf} (tau + w)^(-3/2) theta_mu(w, 0) dw
+    at tau for mu = 0 and 1, with tanh-sinh rules up to this degree."""
+    # theta_mu(i t, 0) tends to 1 - mu as t -> inf; the limit integrates to
+    # 2 (tau + i)^(-1/2) in closed form, and theta minus it is exponentially
+    # small for t >= 1.  The lower piece is taken via t = u^2 and the theta
+    # inversion: the integrand (tau + i u^2)^(-3/2) (2 u^2)^(1/2)
+    # theta_mu(i u^2, 0) is smooth on [0, 1], and no tanh-sinh node lies
+    # at u = 0.
+    upper = _ray_integrals("upper", tau, degree)
+    lower = _ray_integrals("lower", tau, degree)
+    return [(1 - mu) * 2 / mp.sqrt(tau + 1j) + 1j * upper[mu] + 1j * mp.sqrt(2) * lower[mu]
+            for mu in (0, 1)]
+
+
+def period_quadrature(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
     component integrals along the ray (0, i inf).  Both integrals at a tau are
     computed together, by one walk over the quadrature nodes per piece of the
     ray (`_ray_integrals`), which takes each kernel power (tau + i t)^(-3/2)
-    once for both, and memoized per (exact tau, precision) with the instance.
-    The ray theta factors come from the process-wide node-aligned tables
-    `_RAY`, so a new tau computes only the kernel powers and the two
-    theta_mu(tau, z).  The walk equals `mp.quad` of each integral bit for bit,
-    and a hit is bit-identical to a fresh evaluation.
+    once for both, and once per tau in a `_memo_scope` (`_per_sum`).  The ray
+    theta factors come from the process-wide node-aligned tables `_RAY`, so a
+    new tau computes only the kernel powers and the two theta_mu(tau, z).
+    The walk equals `mp.quad` of each integral bit for bit.
 
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
     of `period_value` itself."""
-
-    def __init__(self, cfg: NumericConfig = DEFAULT_CONFIG):
-        self.cfg = cfg
-        self._cache: dict = {}
-
-    def component_integral(self, mu: int, tau):
-        """int_0^{i inf} (tau + w)^(-3/2) theta_mu(w, 0) dw, split at w = i
-        with the theta inversion taming the w -> 0 endpoint."""
-        tau = mp.mpc(tau)
-        key = (tau, mp.mp.prec)
-        if key not in self._cache:
-            self._cache[key] = self._integrals(tau)
-        return self._cache[key][mu]
-
-    def _integrals(self, tau):
-        """The component integrals at tau for mu = 0 and 1."""
-        # theta_mu(i t, 0) tends to 1 - mu as t -> inf; the limit integrates to
-        # 2 (tau + i)^(-1/2) in closed form, and theta minus it is exponentially
-        # small for t >= 1.  The lower piece is taken via t = u^2 and the theta
-        # inversion: the integrand (tau + i u^2)^(-3/2) (2 u^2)^(1/2)
-        # theta_mu(i u^2, 0) is smooth on [0, 1], and no tanh-sinh node lies
-        # at u = 0.
-        upper = _ray_integrals("upper", tau, self.cfg.quad_nodes)
-        lower = _ray_integrals("lower", tau, self.cfg.quad_nodes)
-        return [(1 - mu) * 2 / mp.sqrt(tau + 1j) + 1j * upper[mu] + 1j * mp.sqrt(2) * lower[mu]
-                for mu in (0, 1)]
-
-    def __call__(self, tau, z):
-        with mp.workdps(self.cfg.dps):
-            tau, z = mp.mpc(tau), mp.mpc(z)
-            total = _theta_decomposition(tau, z, lambda mu: self.component_integral(mu, tau))
-            return -(24 / mp.pi) * (1 + 1j) / 16 * total
+    with mp.workdps(cfg.dps):
+        tau, z = mp.mpc(tau), mp.mpc(z)
+        integrals = _per_sum(_period_integrals, tau, cfg.quad_nodes)
+        total = _theta_decomposition(tau, z, lambda mu: integrals[mu])
+        return -(24 / mp.pi) * (1 + 1j) / 16 * total
 
 
 def eichler_theta_integral(mu: int, tau, cfg: NumericConfig = DEFAULT_CONFIG):
@@ -559,7 +566,7 @@ def eichler_theta_integral(mu: int, tau, cfg: NumericConfig = DEFAULT_CONFIG):
 
 def _h_mu_value(mu: int, tau, cfg):
     """The class-number component h_mu(tau), truncated where q^Q drops below
-    10^-(dps+3), and never below cfg.qmax; once per slash sum (`_per_sum`)."""
+    10^-(dps+3), and never below cfg.qmax; once per memo scope (`_per_sum`)."""
     return _per_sum(_h_mu_series_value, mu, mp.mpc(tau), cfg)
 
 
@@ -621,7 +628,7 @@ def period_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     The completed function phi = -E/12 + R' is invariant under T, so
     E|T - E = 12 (R'|T - R'), and the transformation law E|T - E = P gives
     P.  R' is evaluated with `_GUARD_DPS` extra digits; the value
-    agrees with the quadrature of `PeriodEvaluator` at working precision."""
+    agrees with the quadrature `period_quadrature` at working precision."""
     with mp.workdps(cfg.dps + _GUARD_DPS):
         tau, z = mp.mpc(tau), mp.mpc(z)
         acted = slash(_completion_value, generator("T"), 2, 1)(tau, z)
@@ -651,17 +658,17 @@ def _power_sum(F, g, order):
 
 def check_transformation_law(cfg: NumericConfig = DEFAULT_CONFIG, points=DEFAULT_POINTS) -> dict:
     """| (E|T) - E - P | at the configured points."""
-    with mp.workdps(cfg.dps):
+    with mp.workdps(cfg.dps), _memo_scope():
         defect = _defect(lambda tau, z: e21_value(tau, z, cfg), generator("T"))
-        P = PeriodEvaluator(cfg)
+        P = lambda tau, z: period_quadrature(tau, z, cfg)
         err = _worst(points, lambda tau, z: defect(tau, z) - P(tau, z))
         return {"check": "transformation_law", "max_abs_error": err, "points": len(points)}
 
 
 def check_period_relations(cfg: NumericConfig = DEFAULT_CONFIG, points=DEFAULT_POINTS) -> dict:
     """|sum_{j<=3} P|T^j| and |sum_{j<=5} P|U^j| at the configured points."""
-    with mp.workdps(cfg.dps):
-        P = PeriodEvaluator(cfg)
+    with mp.workdps(cfg.dps), _memo_scope():
+        P = lambda tau, z: period_quadrature(tau, z, cfg)
         err_T = _worst(points, _power_sum(P, generator("T"), 4))
         err_U = _worst(points, _power_sum(P, generator("U"), 6))
         return {"check": "period_relations", "points": len(points), "max_abs_error_T": err_T,
@@ -682,7 +689,7 @@ def check_tildeT_action(p: int = 2, cfg: NumericConfig = DEFAULT_CONFIG,
     P is the closed form `period_value` = 12 (R'|T - R'), so the check asks
     that the completion R' be an eigenfunction of the transfer element
     modulo the relation ideal.  It cannot see P's normalization (a scaled
-    completion passes); `period_value`'s comparison with `PeriodEvaluator`
+    completion passes); `period_value`'s comparison with `period_quadrature`
     pins that."""
     with mp.workdps(cfg.dps):
         P = lambda tau, z: period_value(tau, z, cfg)
@@ -745,8 +752,8 @@ def check_extended_relation_readings(cfg: NumericConfig = DEFAULT_CONFIG, points
     """The extended relation P = P|g is evaluated for both candidate readings
     of the extra element, [-I, (1, 0)] and [I, (1, 0)]; both residuals are
     reported without choosing between them."""
-    with mp.workdps(cfg.dps):
-        P = PeriodEvaluator(cfg)
+    with mp.workdps(cfg.dps), _memo_scope():
+        P = lambda tau, z: period_quadrature(tau, z, cfg)
         out = {"check": "extended_relation_readings"}
         for name, g in (("minus_I_shift", minus_identity_shift()), ("I2", generator("I2"))):
             out[f"max_abs_error_{name}"] = _worst(points, _defect(P, g))

@@ -32,7 +32,7 @@ from jacobi_periods.numeric import (
     hecke_slash_sum_value,
 )
 
-CFG = NumericConfig(qmax=48, quad_nodes=6, tol=1e-9, dps=30)
+CFG = NumericConfig(quad_nodes=6, dps=30)
 
 
 def _report(num, ok, elapsed, text):

@@ -1,5 +1,8 @@
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +193,8 @@ def test_every_series_is_empty_at_qbound_zero(capsys):
     "verify numeric --check beta --n 9",
     "verify numeric --check nope",
     "verify eigen --tol nan",
+    "verify numeric --qmax 5",
+    "verify theorem1 --tol 1e-9",
     "verify --n 3 groupring",
     "expand e21 --mu 1",
     "hecke tj --n 3",
@@ -205,9 +210,31 @@ def test_foreign_options_are_usage_errors(capsys, command):
 
 def test_verify_options_reach_the_config():
     parser = build_parser()
-    cfg = _config(parser.parse_args(["verify", "numeric", "--precision", "44", "--qmax", "12"]))
-    assert (cfg.dps, cfg.qmax) == (44, 12)
+    cfg = _config(parser.parse_args(["verify", "numeric", "--precision", "44", "--quad-nodes", "7"]))
+    assert (cfg.dps, cfg.quad_nodes) == (44, 7)
     assert _config(parser.parse_args(["verify", "numeric"])) == NumericConfig()
+
+
+def _leaf_options(parser, path=()):
+    """{command path: its options} for every leaf command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): {o for a in parser._actions for o in a.option_strings
+                                 if o.startswith("--") and o != "--help"}}
+    return {leaf: opts for name, sub in subs[0].choices.items()
+            for leaf, opts in _leaf_options(sub, path + (name,)).items()}
+
+
+def test_readme_option_table_matches_the_parser():
+    # each row of the README's option table names one or more leaf commands
+    # (`hecke tj\|thalf`) and lists exactly the options each of them takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = {}
+    for command, options in re.findall(r"^\| `([a-z0-9 \\|]+)` \| (.*) \|$", readme, re.M):
+        *head, last = command.split()
+        for name in last.split("\\|"):
+            documented[" ".join(head + [name])] = set(re.findall(r"--[A-Za-z][\w-]*", options))
+    assert documented == _leaf_options(build_parser())
 
 
 @pytest.mark.parametrize("argv", [
@@ -224,7 +251,7 @@ def test_verify_options_reach_the_config():
     ("hecke", "v", "--qbound", "-3"),
     ("lift", "phi", "--D", "-3", "--qbound", "-3"),
     ("lift", "psi", "--qbound", "-1"),
-    ("verify", "numeric", "--check", "beta", "--tol", "nan"),
+    ("verify", "numeric", "--check", "beta", "--precision", "0"),
     ("verify", "eigen", "--qbound", "0"),
     ("verify", "product", "--n", "2", "--np", "2", "--k", "1"),
     # refused by the term budgets

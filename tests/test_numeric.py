@@ -25,7 +25,6 @@ from jacobi_periods.numeric import (
     DEFAULT_POINTS,
     EvalPoint,
     NumericConfig,
-    PeriodEvaluator,
     beta_fn,
     beta_fn_quadrature,
     check_cocycle,
@@ -40,6 +39,7 @@ from jacobi_periods.numeric import (
     eval_expansion,
     hecke_slash_sum_value,
     pairwise_sum,
+    period_quadrature,
     period_relation_negative_control,
     period_value,
     phi_value,
@@ -49,16 +49,14 @@ from jacobi_periods.numeric import (
     v_sum_value,
 )
 
-CFG = NumericConfig(qmax=48, quad_nodes=6, tol=1e-9, dps=30)
+CFG = NumericConfig(quad_nodes=6, dps=30)
 
 
 def test_eval_point_requires_upper_half_plane():
     with pytest.raises(DomainError):
         EvalPoint(complex(1.0, -0.5))
     with pytest.raises(DomainError):
-        NumericConfig(qmax=0)
-    with pytest.raises(DomainError):
-        NumericConfig(tol=float("nan"))
+        NumericConfig(quad_nodes=0)
 
 
 def test_e_is_exact_at_quarter_integers():
@@ -98,7 +96,7 @@ def test_theta_value_matches_term_by_term_sum():
 
 def test_theta_inversion_on_the_ray():
     # (2t)^(1/2) theta_mu(i t, 0) = theta_0(i/(4t), mu/4): the two forms in
-    # which `PeriodEvaluator` reads theta on the ray
+    # which `period_quadrature` reads theta on the ray
     with mp.workdps(30):
         for t in (mp.mpf("0.01"), mp.mpf("0.05"), mp.mpf("0.3"), mp.mpf("0.77"), mp.mpf(1)):
             for mu in (0, 1):
@@ -259,14 +257,12 @@ def test_eichler_integral_identity():
             assert abs(series - integral) < CHECKS["eichler"].gate, (mu, tau)
 
 
-def test_period_evaluator_stability_and_periodicity():
-    P = PeriodEvaluator(CFG)
-    v1 = P(1j, mp.mpc(0.0, 0.0))
-    finer = PeriodEvaluator(NumericConfig(qmax=48, quad_nodes=CFG.quad_nodes + 1,
-                                          tol=1e-9, dps=40))
-    v2 = finer(1j, mp.mpc(0.0, 0.0))
+def test_period_quadrature_stability_and_periodicity():
+    v1 = period_quadrature(1j, mp.mpc(0.0, 0.0), CFG)
+    v2 = period_quadrature(1j, mp.mpc(0.0, 0.0), NumericConfig(quad_nodes=CFG.quad_nodes + 1, dps=40))
     assert abs(v1 - v2) < 1e-9
     # z -> z + 1 leaves both theta components fixed
+    P = lambda tau, z: period_quadrature(tau, z, CFG)
     assert abs(P(1j, mp.mpc(0.1, 0.05)) - P(1j, mp.mpc(1.1, 0.05))) < 1e-12
 
 
@@ -281,17 +277,17 @@ def _counting(monkeypatch, name, calls):
     monkeypatch.setattr(numeric, name, counting)
 
 
-def test_period_evaluator_reuses_the_ray_factors(monkeypatch):
-    pairs, singles = [], []
-    _counting(monkeypatch, "theta_pair", pairs)
-    _counting(monkeypatch, "theta_value", singles)
+def test_period_quadrature_reuses_the_ray_factors(monkeypatch):
+    sums = []
+    _counting(monkeypatch, "_theta_sums", sums)
     monkeypatch.setattr(numeric, "_RAY", {})
-    P = PeriodEvaluator(CFG)
     first, second = DEFAULT_POINTS[:2]
-    P(first.tau, first.z)
+    at_point = lambda pt: (mp.mpc(pt.tau), [(mp.mpc(pt.z), (0, 1))])
+    called = lambda args: (args[0], [(mp.mpc(z), tuple(mus)) for z, mus in args[1]])
+    period_quadrature(first.tau, first.z, CFG)
     # one table per (piece, degree, precision) the walks read, each built once:
-    # one theta_pair per upper node, one theta_0 per lower node and mu, and the
-    # theta pair at (tau, z)
+    # one theta sum per node, theta_0 and theta_1 at z = 0 on the upper piece
+    # and theta_0 at z = 0 and 1/4 on the lower, and the theta pair at (tau, z)
     prec = mp.libmp.dps_to_prec(CFG.dps)
     degrees = {piece: sorted(d for p, d, pr in numeric._RAY if p == piece and pr == prec)
                for piece in ("upper", "lower")}
@@ -300,69 +296,93 @@ def test_period_evaluator_reuses_the_ray_factors(monkeypatch):
         assert ds == list(range(1, len(ds) + 1)) and 1 < len(ds) <= CFG.quad_nodes, piece
     rows = {piece: sum(len(numeric._RAY[piece, d, prec]) for d in ds) for piece, ds in degrees.items()}
     assert rows["upper"] > 100 and rows["lower"] > 100
-    assert len(pairs) == rows["upper"] + 1 and len(singles) == 2 * rows["lower"]
-    assert pairs[0] == (mp.mpc(first.tau), mp.mpc(first.z))  # read before the integrals
+    assert len(sums) == rows["upper"] + rows["lower"] + 1
+    assert called(sums[-1]) == at_point(first)  # read after the integrals
+    ray = [[mu for _, mus in args[1] for mu in mus] for args in sums[:-1]]
+    assert ray.count([0, 1]) == rows["upper"] and ray.count([0, 0]) == rows["lower"]
     # the second tau needs no quadrature degree beyond the first's, so every
     # ray factor it reads is in a table: only the theta pair at (tau, z) is
     # evaluated
     tables = dict(numeric._RAY)
-    seen = len(pairs), len(singles)
-    P(second.tau, second.z)
-    assert pairs[seen[0]:] == [(mp.mpc(second.tau), mp.mpc(second.z))]
-    assert len(singles) == seen[1]
-    # the tables are shared by every evaluator: a fresh one at a new tau
-    # evaluates only its theta pair as well, and builds no table
-    seen = len(pairs), len(singles)
+    seen = len(sums)
+    period_quadrature(second.tau, second.z, CFG)
+    assert [called(args) for args in sums[seen:]] == [at_point(second)]
+    # the tables are shared by every evaluation, in a memo scope or not: a new
+    # tau evaluates only its theta pair as well, and builds no table
+    seen = len(sums)
     third = DEFAULT_POINTS[2]
-    PeriodEvaluator(CFG)(third.tau, third.z)
-    assert pairs[seen[0]:] == [(mp.mpc(third.tau), mp.mpc(third.z))]
-    assert len(singles) == seen[1]
+    with numeric._memo_scope():
+        period_quadrature(third.tau, third.z, CFG)
+    assert [called(args) for args in sums[seen:]] == [at_point(third)]
     assert numeric._RAY.keys() == tables.keys()
     assert all(numeric._RAY[key] is table for key, table in tables.items())
 
 
 def test_ray_factor_memo_keeps_values_exact(monkeypatch):
-    warm = PeriodEvaluator(CFG)
-    warm(0.1j, complex(0.3, 0.05))
-    for pt in DEFAULT_POINTS:
-        value = warm(pt.tau, pt.z)
+    with numeric._memo_scope():
+        period_quadrature(0.1j, complex(0.3, 0.05), CFG)
+        warm = [period_quadrature(pt.tau, pt.z, CFG) for pt in DEFAULT_POINTS]
+    for pt, value in zip(DEFAULT_POINTS, warm):
         monkeypatch.setattr(numeric, "_RAY", {})  # a cold process
-        assert value == PeriodEvaluator(CFG)(pt.tau, pt.z), pt
+        assert value == period_quadrature(pt.tau, pt.z, CFG), pt
     # the memos are keyed by precision: a value computed at 30 digits is
     # never read back at 45
-    tau = mp.mpc(0.2, 0.7)
-    with mp.workdps(30):
-        warm.component_integral(1, tau)
-    with mp.workdps(45):
-        value = warm.component_integral(1, tau)
-        monkeypatch.setattr(numeric, "_RAY", {})
-        assert value == PeriodEvaluator(CFG).component_integral(1, tau)
+    tau, z = mp.mpc(0.2, 0.7), mp.mpc(0.1, 0.1)
+    finer = replace(CFG, dps=45)
+    with numeric._memo_scope():
+        period_quadrature(tau, z, CFG)
+        value = period_quadrature(tau, z, finer)
+    monkeypatch.setattr(numeric, "_RAY", {})
+    assert value == period_quadrature(tau, z, finer)
 
 
 def test_both_component_integrals_come_from_one_computation(monkeypatch):
-    # one walk per piece of the ray gives both mu; the mu = 1 integral at a
-    # tau already computed for mu = 0 walks no more, and no mp.quad is made
+    # one walk per piece of the ray gives both mu; a second z at a tau
+    # already integrated walks no more in the same memo scope, and no
+    # mp.quad is made
     walks = []
     _counting(monkeypatch, "_ray_integrals", walks)
 
     def no_quad(*args, **kwargs):
-        raise AssertionError("PeriodEvaluator called mp.quad")
+        raise AssertionError("period_quadrature called mp.quad")
 
-    P = PeriodEvaluator(CFG)
-    with mp.workdps(CFG.dps):
-        tau = mp.mpc(0.1, 1.2)
-        monkeypatch.setattr(mp, "quad", no_quad)
-        first = P.component_integral(0, tau)
+    monkeypatch.setattr(mp, "quad", no_quad)
+    tau = mp.mpc(0.1, 1.2)
+    with numeric._memo_scope():
+        first = period_quadrature(tau, 0, CFG)
         assert [(piece, t, m) for piece, t, m in walks] == [
             ("upper", tau, CFG.quad_nodes), ("lower", tau, CFG.quad_nodes)]
-        second = P.component_integral(1, tau)
+        second = period_quadrature(tau, 0.3, CFG)
         assert len(walks) == 2
-        # asked for mu = 1 first after a table reset, a fresh evaluator
-        # computes the same pair, bit for bit
-        monkeypatch.setattr(numeric, "_RAY", {})
-        fresh = PeriodEvaluator(CFG)
-        assert (fresh.component_integral(1, tau), fresh.component_integral(0, tau)) == (second, first)
-        assert len(walks) == 4 and numeric._RAY
+    # in a new scope after a table reset the same pair is computed again,
+    # bit for bit
+    monkeypatch.setattr(numeric, "_RAY", {})
+    with numeric._memo_scope():
+        assert (period_quadrature(tau, 0.3, CFG), period_quadrature(tau, 0, CFG)) == (second, first)
+    assert len(walks) == 4 and numeric._RAY
+
+
+@pytest.mark.parametrize("check, images", [
+    (check_transformation_law, 3), (check_period_relations, 11),
+    (check_extended_relation_readings, 3)])
+def test_quadrature_checks_integrate_once_per_image(monkeypatch, check, images):
+    # each check is one memo scope: the integrals are computed once per
+    # distinct image tau of its points, and the scope is closed after the
+    # check, however it ends
+    computed = []
+    _counting(monkeypatch, "_period_integrals", computed)
+    check(CFG)
+    assert len(computed) == len(set(computed)) == images
+    assert numeric._SUM_MEMO.get() is None
+
+    def failing(tau, degree):
+        assert numeric._SUM_MEMO.get() is not None
+        raise PrecisionError("stop")
+
+    monkeypatch.setattr(numeric, "_period_integrals", failing)
+    with pytest.raises(PrecisionError):
+        check(CFG)
+    assert numeric._SUM_MEMO.get() is None
 
 
 def _ray_quad(piece, mu, tau, maxdegree, memo):
@@ -436,6 +456,12 @@ def test_theta_pair_equals_both_components():
                 assert len(pair) == 2
                 for mu in (0, 1):
                     assert pair[mu]._mpc_ == theta_value(mu, tau, z)._mpc_, (tau, z, mu, dps)
+                # so does each (mu, z) of one call with several z, as a lower
+                # ray node makes it
+                groups = [(w, mus) for w in (z, 0, mp.mpf(1) / 4) for mus in ((0, 1), (0,))]
+                flat = [(mu, w) for w, mus in groups for mu in mus]
+                for (mu, w), value in zip(flat, numeric._theta_sums(tau, groups), strict=True):
+                    assert value._mpc_ == theta_value(mu, tau, w)._mpc_, (tau, w, mu, dps)
         ref = [_theta_term_by_term(mu, tau, z) for mu in (0, 1)]
         with mp.workdps(30):
             pair = numeric.theta_pair(tau, z)
@@ -488,29 +514,28 @@ def test_slash_sum_memo_is_closed_after_the_sum():
 
 
 def test_period_memo_is_keyed_by_the_exact_tau():
-    # two taus that agree to 28 digits are still two points: a warm evaluator
-    # returns each one's own integral, bit for bit
+    # two taus that agree to 28 digits are still two points: inside one memo
+    # scope each gets its own integrals, bit for bit
     with mp.workdps(CFG.dps):
         tau = mp.mpc(0.2, 0.7)
         near = tau + mp.mpc(0, "1e-29")
-        warm = PeriodEvaluator(CFG)
-        warm.component_integral(0, tau)
-        fresh = PeriodEvaluator(CFG).component_integral(0, near)
-        assert warm.component_integral(0, near) == fresh
+    fresh = period_quadrature(near, 0, CFG)
+    with numeric._memo_scope():
+        period_quadrature(tau, 0, CFG)
+        assert period_quadrature(near, 0, CFG) == fresh
 
 
 def test_period_value_matches_quadrature():
     # the transfer check cannot see P's normalization, so this comparison
     # with the independent quadrature pins it
-    P = PeriodEvaluator(CFG)
     points = [(0.1j, complex(0.3, 0.05)), (complex(0.3, 0.2), complex(0.49, 0.1)),
               (10j, complex(-0.48, 0.02)), (1j, complex(0.1, 0.2)),
               (complex(-0.4, 1.3), complex(0.45, -0.15)), (complex(0.25, 0.5), -0.5),
               (complex(0.1, 3.0), complex(0.2, 0.3)), (complex(-0.2, 0.15), 0.05j)]
     for tau, z in points:
         closed = period_value(tau, z, CFG)
+        quad = period_quadrature(tau, z, CFG)
         with mp.workdps(CFG.dps):
-            quad = P(tau, z)
             assert abs(closed - quad) < 1e-25 * abs(quad), (tau, z)
 
 
