@@ -56,10 +56,13 @@ theta_0 at z = 0 and 1/4.
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
 tests read the gates from there.  Each check states its identity as a
-residual function, and `_worst` takes its largest magnitude over the points.
+residual function, and `_worst` takes its largest magnitude over the points,
+nan if it is nan at any point, so that the check fails.
 
-All evaluations are pure; sums over Hecke terms are reduced by a fixed
-pairwise tree so results are bit-stable for a given configuration.  Each
+All evaluations are pure.  One fixed pairwise tree, `pairwise_sum`,
+reduces the sums over Hecke terms and the rows and terms of
+`eval_expansion`, on raw mpc tuples with the `mpc_add` of the mpc operator,
+so results are bit-stable for a given configuration.  Each
 tau-only factor (c_mu, h_mu and the period integrals) is computed once per
 exact tau and precision inside a `_memo_scope`: one per evaluation of a
 slash sum, and one per quadrature-backed check.
@@ -67,6 +70,7 @@ slash sum, and one per quadrature-backed check.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -89,8 +93,17 @@ class EvalPoint:
     z: complex = 0j
 
     def __post_init__(self):
+        _require_finite(self.tau, self.z)
         if not (getattr(self.tau, "imag", 0) > 0):
             raise DomainError("tau must lie in the upper half plane")
+
+
+def _require_finite(tau, z):
+    """DomainError unless tau and z are finite: a nan or an infinity would
+    give a nan value beside a finite tail bound, or an error from deep in
+    mpmath."""
+    if not (mp.isfinite(tau) and mp.isfinite(z)):
+        raise DomainError("tau and z must be finite")
 
 
 @dataclass(frozen=True)
@@ -123,16 +136,26 @@ def _e(x):
     return mp.expjpi(2 * mp.mpc(x))
 
 
-def pairwise_sum(values):
-    """Summation by a fixed pairwise tree (order-stable reduction)."""
-    vals = list(values)
+def _pairwise(vals, prec, rnd):
+    """The fixed pairwise tree on a list of raw mpc tuples, each sum by
+    `libmp.mpc_add` at (prec, rnd), the call `mpc.__add__` makes; the raw sum
+    (0 for an empty list)."""
     if not vals:
-        return mp.mpc(0)
+        return libmp.mpc_zero
+    add = libmp.mpc_add
     while len(vals) > 1:
-        vals = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)] + (
-            [vals[-1]] if len(vals) % 2 else []
+        vals = [add(a, b, prec, rnd) for a, b in zip(vals[::2], vals[1::2])] + (
+            vals[-1:] if len(vals) % 2 else []
         )
     return vals[0]
+
+
+def pairwise_sum(values):
+    """Summation by a fixed pairwise tree (order-stable reduction), always
+    an mpc.  The values are reduced as raw mpc tuples, so for values at the
+    working precision the sum has the bits of the same tree on the objects."""
+    vals = [v._mpc_ if hasattr(v, "_mpc_") else mp.mpc(v)._mpc_ for v in values]
+    return mp.make_mpc(_pairwise(vals, *mp.mp._prec_rounding))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +199,14 @@ def _powers(x, lo, hi):
     return table
 
 
+def _raw_coefficient(c, prec, rnd):
+    """An exact coefficient as a raw mpf with the bits of mp.mpf(num) / den:
+    an int is rounded once by `libmp.from_int`, as mp.mpf(c) / 1 rounds it."""
+    if isinstance(c, int):
+        return libmp.from_int(c, prec, rnd)
+    return (mp.mpf(c.numerator) / c.denominator)._mpf_
+
+
 def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     """Evaluate a truncated expansion at (tau, z); returns (value, tail_bound)
     with `_tail_bound`'s bound on the truncation error of the stored partial
@@ -184,8 +215,16 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
 
     Terms are grouped by scaled q-exponent: each row sum_r c zeta^r reads
     zeta^r from one power table of e(z), and the rows are weighted by integer
-    powers of e(tau/scale), so no term costs an exponential.  Rows and the
-    terms inside each row are reduced by the fixed pairwise tree."""
+    powers of e(tau/scale), so no term costs an exponential.  The loop runs
+    on mpmath's raw tuples with the calls that the mpc operators make, so
+    every bit is theirs: each distinct coefficient is converted once, each
+    term is one `mpc_mul_mpf`, each distinct gap between rows takes its power
+    of e(tau/scale) once, and rows and the terms inside each row are reduced
+    by the tree of `pairwise_sum`.  A row's tail constant is read
+    from its largest exact |c|: rounding once is monotone and symmetric, so
+    that converts to the largest rounded |c|.  A `Fraction` whose numerator
+    is wider than the precision is rounded twice, which is not monotone, so
+    with one of those the rounded values are compared."""
     if isinstance(f, JacobiExpansion):
         m, coeffs = f.index, f.coeffs
     elif isinstance(f, QSeries):  # index 0, with the key ns read as (ns, 0)
@@ -193,23 +232,37 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     else:
         raise DomainError("unsupported expansion type")
     with mp.workdps(cfg.dps):
+        prec, rnd = mp.mp._prec_rounding
         tau, z = mp.mpc(point.tau), mp.mpc(point.z)
         rows: dict[int, list] = {}
         for (ns, r), c in sorted(coeffs.items()):
             rows.setdefault(ns, []).append((r, c))
         rs = [r for row in rows.values() for r, _ in row]
-        zeta = _powers(_e(z), min(rs, default=0), max(rs, default=0))
-        base = _e(tau / f.scale)
-        cmax = mp.mpf(1)
-        parts, qpow, at = [], mp.mpc(1), 0
+        zeta = {e: v._mpc_ for e, v in
+                _powers(_e(z), min(rs, default=0), max(rs, default=0)).items()}
+        base = _e(tau / f.scale)._mpc_
+        raw = {c: _raw_coefficient(c, prec, rnd) for c in set(coeffs.values())}
+        if all(isinstance(c, int) or c.numerator.bit_length() <= prec for c in raw):
+            size = abs
+        else:
+            size = lambda c: abs(mp.make_mpf(raw[c]))
+        mul, cmax, qpow, at, parts = libmp.mpc_mul_mpf, libmp.fone, libmp.mpc_one, 0, []
+        steps = {}  # e(tau/scale)^gap, once per gap between rows
         for ns, row in rows.items():
-            cs = [mp.mpf(c.numerator) / c.denominator for _, c in row]
-            cmax = max(cmax, max(abs(c) for c in cs) / (ns / f.scale + 1) ** 2)
-            qpow *= base ** (ns - at)
-            at = ns
-            parts.append(qpow * pairwise_sum(c * zeta[r] for c, (r, _) in zip(cs, row)))
-        value = pairwise_sum(parts)
-        bound = _tail_bound(m, f.scale, f.qbound, tau, z, cmax)
+            # the row's tail constant |top| / (ns/scale + 1)^2, over a float
+            top = max((c for _, c in row), key=size)
+            weighted = libmp.mpf_div(libmp.mpf_abs(raw[top], prec, rnd),
+                                     libmp.from_float((ns / f.scale + 1) ** 2), prec, rnd)
+            if libmp.mpf_gt(weighted, cmax):
+                cmax = weighted
+            gap, at = ns - at, ns
+            if gap not in steps:
+                steps[gap] = libmp.mpc_pow_int(base, gap, prec, rnd)
+            qpow = libmp.mpc_mul(qpow, steps[gap], prec, rnd)
+            terms = [mul(zeta[r], raw[c], prec, rnd) for r, c in row]
+            parts.append(libmp.mpc_mul(qpow, _pairwise(terms, prec, rnd), prec, rnd))
+        value = mp.make_mpc(_pairwise(parts, prec, rnd))
+        bound = _tail_bound(m, f.scale, f.qbound, tau, z, mp.make_mpf(cmax))
         if bound > cfg.tol:
             extra = float(mp.log(bound / mp.mpf(cfg.tol)) / (2 * mp.pi * mp.im(tau)))
             raise PrecisionError(
@@ -528,6 +581,7 @@ def period_quadrature(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
     of `period_value` itself."""
+    _require_finite(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
         integrals = _per_sum(_period_integrals, tau, cfg.quad_nodes)
@@ -591,6 +645,7 @@ def e21_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     section 5; checked coefficientwise by `fourier.theta_decomposition_check`).
     It costs O(Q) one-variable terms plus an adaptive `theta_value`, with no
     tail in the zeta direction."""
+    _require_finite(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
         return -12 * _theta_decomposition(tau, z, lambda mu: _h_mu_value(mu, tau, cfg))
@@ -606,6 +661,7 @@ def phi_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG, holomorphic_only=Fals
     defect survives.  The same factor is visible classically: at 4 tau the
     two components must sum to the completed weight-3/2 class-number series,
     whose completion is twice the sum of the two printed component terms."""
+    _require_finite(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
 
@@ -629,6 +685,7 @@ def period_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     E|T - E = 12 (R'|T - R'), and the transformation law E|T - E = P gives
     P.  R' is evaluated with `_GUARD_DPS` extra digits; the value
     agrees with the quadrature `period_quadrature` at working precision."""
+    _require_finite(tau, z)
     with mp.workdps(cfg.dps + _GUARD_DPS):
         tau, z = mp.mpc(tau), mp.mpc(z)
         acted = slash(_completion_value, generator("T"), 2, 1)(tau, z)
@@ -639,9 +696,18 @@ def period_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
 # Verification checks
 
 
+def _largest(values) -> float:
+    """The largest value as a float, or nan if any value is nan: the builtin
+    max keeps a nan only in first place, and a dropped nan would pass its
+    gate.  Rounding to float is monotone, so finite values keep the bits of
+    float(max(values))."""
+    values = [float(v) for v in values]
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _worst(points, residual) -> float:
-    """The largest |residual(tau, z)| over the points, as a float."""
-    return float(max(abs(residual(mp.mpc(pt.tau), mp.mpc(pt.z))) for pt in points))
+    """The largest |residual(tau, z)| over the points (`_largest`)."""
+    return _largest(abs(residual(mp.mpc(pt.tau), mp.mpc(pt.z))) for pt in points)
 
 
 def _defect(F, g, m=1):
@@ -672,7 +738,7 @@ def check_period_relations(cfg: NumericConfig = DEFAULT_CONFIG, points=DEFAULT_P
         err_T = _worst(points, _power_sum(P, generator("T"), 4))
         err_U = _worst(points, _power_sum(P, generator("U"), 6))
         return {"check": "period_relations", "points": len(points), "max_abs_error_T": err_T,
-                "max_abs_error_U": err_U, "max_abs_error": max(err_T, err_U)}
+                "max_abs_error_U": err_U, "max_abs_error": _largest((err_T, err_U))}
 
 
 def period_relation_negative_control(cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -743,8 +809,8 @@ def check_phi_invariance(cfg: NumericConfig = DEFAULT_CONFIG,
             out[f"max_abs_error_{name}"] = _worst(points, _defect(phi, generator(name)))
         hol = lambda tau, z: phi_value(tau, z, cfg, holomorphic_only=True)
         out["holomorphic_only_T_defect"] = _worst(points[:1], _defect(hol, generator("T")))
-        out["max_abs_error"] = max(out["max_abs_error_T"], out["max_abs_error_S"],
-                                   out["max_abs_error_I1"])
+        out["max_abs_error"] = _largest((out["max_abs_error_T"], out["max_abs_error_S"],
+                                         out["max_abs_error_I1"]))
         return out
 
 
@@ -757,7 +823,8 @@ def check_extended_relation_readings(cfg: NumericConfig = DEFAULT_CONFIG, points
         out = {"check": "extended_relation_readings"}
         for name, g in (("minus_I_shift", minus_identity_shift()), ("I2", generator("I2"))):
             out[f"max_abs_error_{name}"] = _worst(points, _defect(P, g))
-        out["max_abs_error"] = max(out["max_abs_error_minus_I_shift"], out["max_abs_error_I2"])
+        out["max_abs_error"] = _largest((out["max_abs_error_minus_I_shift"],
+                                          out["max_abs_error_I2"]))
         return out
 
 
@@ -789,7 +856,7 @@ def check_cocycle(cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
 
     with mp.workdps(cfg.dps):
         k = mp.mpf(2)
-        worst = mp.mpf(0)
+        errors = []
         for _ in range(trials):
             g1, g2 = rand_int_element(), rand_int_element()
             if rng.random() < 0.5:
@@ -800,25 +867,25 @@ def check_cocycle(cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
             for tau, z in pts:
                 j2, tt, zz = _act(t2, k, 1, tau, z)
                 lhs = _act(t1, k, 1, tt, zz)[0] * j2
-                worst = max(worst, abs(lhs - _act(t12, k, 1, tau, z)[0]))
-        return {"check": "cocycle", "max_abs_error": float(worst), "trials": trials}
+                errors.append(abs(lhs - _act(t12, k, 1, tau, z)[0]))
+        return {"check": "cocycle", "max_abs_error": _largest(errors), "trials": trials}
 
 
 def check_beta(cfg: NumericConfig = DEFAULT_CONFIG, xs=(0.3, 1.0, 2.5)) -> dict:
     """Largest gap between beta's closed form and its quadrature, both at the
     configured precision."""
     with mp.workdps(cfg.dps):
-        err = max(abs(beta_fn(x) - beta_fn_quadrature(x, cfg)) for x in xs)
-        return {"check": "beta", "max_abs_error": float(err)}
+        err = _largest(abs(beta_fn(x) - beta_fn_quadrature(x, cfg)) for x in xs)
+        return {"check": "beta", "max_abs_error": err}
 
 
 def check_eichler_integral(cfg: NumericConfig = DEFAULT_CONFIG,
                            taus=(1j, 2j, complex(0.5, 1.3))) -> dict:
     """Largest gap between the two sides of `eichler_theta_integral` over
     mu in {0, 1} and the given tau."""
-    err = max(abs(series - integral) for mu in (0, 1) for tau in taus
-              for series, integral in [eichler_theta_integral(mu, tau, cfg)])
-    return {"check": "eichler_integral", "max_abs_error": float(err)}
+    err = _largest(abs(series - integral) for mu in (0, 1) for tau in taus
+                   for series, integral in [eichler_theta_integral(mu, tau, cfg)])
+    return {"check": "eichler_integral", "max_abs_error": err}
 
 
 def hecke_slash_sum_value(n: int, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):

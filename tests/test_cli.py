@@ -375,6 +375,10 @@ GOLDEN = {
         "e5b5d2dc1f8b515cc015e03cb57d3fa011d77641b60c7a8b3c33612f780fd702",
     "verify numeric --check translaw --precision 60 --quad-nodes 7":
         "0d2cdd532b75ee1e181230e956e9fb53ba23e31d8a1960afdd31922ce4dd64ec",
+    "verify theorem1 --n 3":
+        "6b54455d78b3cb73c8629afbf571eb7a789089b4fe4bbdb02300a01b2fd68610",
+    "verify numeric --check phi --precision 45":
+        "c816029d0d54f6544082c95b6cf320ff7b8b6cdc4483f5058b4c503401f16686",
 }
 
 

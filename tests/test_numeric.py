@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import isqrt
+from math import isnan, isqrt
 
 import mpmath as mp
 import pytest
@@ -10,10 +10,12 @@ from jacobi_periods import numeric
 from jacobi_periods.arith import hurwitz
 from jacobi_periods.errors import DomainError, PrecisionError
 from jacobi_periods.fourier import (
+    JacobiExpansion,
     QSeries,
     apply_T_jacobi,
     apply_V,
     e21_expansion,
+    h32_series,
     h_mu_series,
     theta,
     tj_needed_nmax,
@@ -57,6 +59,32 @@ def test_eval_point_requires_upper_half_plane():
         EvalPoint(complex(1.0, -0.5))
     with pytest.raises(DomainError):
         NumericConfig(quad_nodes=0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("tau, z", [
+    (1j, NAN),
+    (1j, complex(0.1, NAN)),
+    (1j, INF),
+    (complex(NAN, 1), 0j),
+    (complex(0, INF), 0j),
+    (mp.mpc(0, mp.inf), 0j),
+])
+def test_eval_point_refuses_non_finite_coordinates(tau, z):
+    # accepted, these gave nan+nanj beside a finite tail bound, or a
+    # ZeroDivisionError at tau = i inf
+    with pytest.raises(DomainError):
+        EvalPoint(tau, z)
+
+
+@pytest.mark.parametrize("evaluator", [period_value, period_quadrature, e21_value, phi_value])
+@pytest.mark.parametrize("tau, z", [(1j, NAN), (1j, INF), (complex(NAN, 1), 0j)])
+def test_point_evaluators_refuse_non_finite_coordinates(evaluator, tau, z):
+    # period_value(1j, nan) raised a ValueError from int() of a nan
+    with pytest.raises(DomainError):
+        evaluator(tau, z, CFG)
 
 
 def test_e_is_exact_at_quarter_integers():
@@ -207,6 +235,154 @@ def test_pairwise_sum_matches_builtin():
     with mp.workdps(30):
         vals = [mp.mpf(1) / (i + 1) for i in range(37)]
         assert abs(pairwise_sum(vals) - sum(vals)) < mp.mpf(10) ** -25
+
+
+def _object_tree(values):
+    """The fixed pairwise tree on mpmath objects, with their operators: the
+    oracle of the bits of `pairwise_sum`'s raw-tuple tree."""
+    vals = list(values)
+    if not vals:
+        return mp.mpc(0)
+    while len(vals) > 1:
+        vals = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)] + (
+            [vals[-1]] if len(vals) % 2 else []
+        )
+    return vals[0]
+
+
+def _raw(x):
+    """x as a raw mpc tuple, an mpf x read as (x, 0)."""
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, mp.mpf(0)._mpf_)
+
+
+@pytest.mark.parametrize("dps", [30, 45])
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 37, 100])
+def test_pairwise_sum_is_the_object_tree_bit_for_bit(dps, mixed, length):
+    rng = random.Random(length + dps)
+    with mp.workdps(dps):
+        vals = [mp.mpf(rng.uniform(-1, 1)) / 3 if mixed and rng.random() < 0.5
+                else mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 7 for _ in range(length)]
+        got = pairwise_sum(vals)
+        assert isinstance(got, mp.mpc)
+        assert got._mpc_ == _raw(_object_tree(vals))
+
+
+def _object_eval_expansion(f, point, cfg):
+    """`eval_expansion` on mpmath objects, one mpf per term and the tail
+    constant from the rounded coefficients: the oracle of the bits of its
+    raw-tuple loop, value and bound, and of its `PrecisionError`."""
+    if isinstance(f, JacobiExpansion):
+        m, coeffs = f.index, f.coeffs
+    else:
+        m, coeffs = 0, {(ns, 0): c for ns, c in f.coeffs.items()}
+    with mp.workdps(cfg.dps):
+        tau, z = mp.mpc(point.tau), mp.mpc(point.z)
+        rows = {}
+        for (ns, r), c in sorted(coeffs.items()):
+            rows.setdefault(ns, []).append((r, c))
+        rs = [r for row in rows.values() for r, _ in row]
+        zeta = numeric._powers(numeric._e(z), min(rs, default=0), max(rs, default=0))
+        base = numeric._e(tau / f.scale)
+        cmax = mp.mpf(1)
+        parts, qpow, at = [], mp.mpc(1), 0
+        for ns, row in rows.items():
+            cs = [mp.mpf(c.numerator) / c.denominator for _, c in row]
+            cmax = max(cmax, max(abs(c) for c in cs) / (ns / f.scale + 1) ** 2)
+            qpow *= base ** (ns - at)
+            at = ns
+            parts.append(qpow * _object_tree(c * zeta[r] for c, (r, _) in zip(cs, row)))
+        value = _object_tree(parts)
+        bound = numeric._tail_bound(m, f.scale, f.qbound, tau, z, cmax)
+        if bound > cfg.tol:
+            extra = float(mp.log(bound / mp.mpf(cfg.tol)) / (2 * mp.pi * mp.im(tau)))
+            raise PrecisionError(
+                "tail bound", required_qbound=None if mp.isinf(bound)
+                else int(float(f.qbound) + extra + 2))
+        return value, bound
+
+
+def _oracle_expansions():
+    """Every kind of input the raw loop reads: E as a table and as a dict,
+    Hecke images, class-number series holding Fractions (H(0) = -1/12 and
+    H(3k^2), H(4k^2)), negative r alone, and numerators wider than 2^prec
+    at every tested precision, where the tail constant compares the
+    converted values."""
+    e = e21_expansion(12)
+    wide = 2**250
+    return {
+        "E_table": e,
+        "E_dict": JacobiExpansion(2, 1, 1, dict(e.coeffs), e.qbound),
+        "V_2": apply_V(e21_expansion(30), 2),
+        "V_3": apply_V(e21_expansion(30), 3),
+        "T_2": apply_T_jacobi(e21_expansion(tj_needed_nmax(2, 7) + 1), 2),
+        "h_0": h_mu_series(0, 20),
+        "h_1": h_mu_series(1, 20),
+        "h32": h32_series(30),
+        "wide_fraction": QSeries(4, {0: Fraction(wide + 1, 3), 3: Fraction(-(wide + 2), 3),
+                                     4: Fraction(5, 7), 7: Fraction(wide + 7, wide - 1)}, 60),
+        "negative_r": JacobiExpansion(2, 1, 1, {(1, -2): Fraction(wide + 1, 3), (1, -1): -4,
+                                                (2, -2): Fraction(-(wide + 3), 3), (3, -3): 2**200},
+                                      60),
+    }
+
+
+ORACLE_POINTS = (
+    EvalPoint(1j, complex(0.1, 0.2)),
+    EvalPoint(complex(0.3, 1.1)),
+    EvalPoint(complex(-0.4, 0.8), complex(0.25, 0.1)),
+    EvalPoint(mp.mpc("0.1", "1.3"), mp.mpc("0.05", "-0.1")),  # mpc-valued
+)
+
+
+def _outcome(evaluate, f, pt, cfg):
+    """The raw value and bound of evaluate(f, pt, cfg), or the
+    `required_qbound` of its `PrecisionError`."""
+    try:
+        value, bound = evaluate(f, pt, cfg)
+    except PrecisionError as exc:
+        return "refused", exc.required_qbound
+    return value._mpc_, bound._mpf_
+
+
+@pytest.mark.parametrize("dps", [30, 45, 60])
+@pytest.mark.parametrize("name", list(_oracle_expansions()))
+def test_eval_expansion_is_the_object_loop_bit_for_bit(dps, name):
+    f = _oracle_expansions()[name]
+    cfg = replace(CFG, dps=dps)
+    outcomes = [_outcome(eval_expansion, f, pt, cfg) for pt in ORACLE_POINTS]
+    assert outcomes == [_outcome(_object_eval_expansion, f, pt, cfg) for pt in ORACLE_POINTS]
+    assert any(value != "refused" for value, _ in outcomes)
+
+
+@pytest.mark.parametrize("dps", [30, 45, 60])
+def test_tail_constant_of_wide_fractions_is_the_rounded_maximum(dps):
+    # a < b, but b's numerator rounds down and a's up, so the rounded a is
+    # the larger: the row's constant must come from the rounded values
+    with mp.workdps(dps):
+        n1 = 2 ** (mp.mp.prec + 1) + 3
+        n2 = next(n for n in range(-(-5 * n1 // 3), 5 * n1) if n % 4 == 1)
+        a, b = Fraction(n1, 3), Fraction(n2, 5)
+        assert a < b and mp.mpf(a.numerator) / 3 > mp.mpf(b.numerator) / 5
+    f = JacobiExpansion(2, 1, 1, {(1, -1): -a, (1, 1): b, (2, 0): 1}, 60)
+    cfg = replace(CFG, dps=dps)
+    for pt in ORACLE_POINTS:
+        assert _outcome(eval_expansion, f, pt, cfg) == _outcome(_object_eval_expansion, f, pt, cfg)
+
+
+@pytest.mark.parametrize("dps", [30, 45, 60])
+@pytest.mark.parametrize("f, point", [
+    (e21_expansion(3), EvalPoint(complex(0.0, 0.9), 0j)),
+    (e21_expansion(5), EvalPoint(mp.mpc("0.2", "0.35"), mp.mpc("0.1", "0.05"))),
+    (QSeries(1, {0: 1}, 1), EvalPoint(0.1j)),
+])
+def test_eval_expansion_refuses_as_the_object_loop(dps, f, point):
+    cfg = replace(CFG, dps=dps)
+    with pytest.raises(PrecisionError) as want:
+        _object_eval_expansion(f, point, cfg)
+    with pytest.raises(PrecisionError) as got:
+        eval_expansion(f, point, cfg)
+    assert got.value.required_qbound == want.value.required_qbound
 
 
 def test_slash_identity_and_z_translation():
@@ -537,6 +713,28 @@ def test_period_value_matches_quadrature():
         quad = period_quadrature(tau, z, CFG)
         with mp.workdps(CFG.dps):
             assert abs(closed - quad) < 1e-25 * abs(quad), (tau, z)
+
+
+def test_a_nan_residual_at_a_later_point_fails_its_check(monkeypatch):
+    # P is nan at the second point only; the builtin max kept the first
+    # point's 0 there, and the check passed
+    second = mp.mpc(DEFAULT_POINTS[1].tau)
+    monkeypatch.setattr(numeric, "period_quadrature",
+                        lambda tau, z, cfg: mp.mpc(mp.nan) if tau == second else mp.mpc(0))
+    check = CHECKS["extended"]
+    report = check.run(CFG, None)
+    assert isnan(report[check.key]) and not report[check.key] < check.gate
+
+
+def test_largest_keeps_nan_and_finite_bits():
+    nan = float("nan")
+    assert isnan(numeric._largest((1e-30, nan))) and isnan(numeric._largest((nan, 1e-30)))
+    with mp.workdps(30):
+        values = [mp.mpf(1) / 3, mp.mpf(2) / 7, mp.mpf(1) / 7]
+        assert numeric._largest(values) == float(max(values))
+        # nan at the second point alone (the only one with Re tau != 0)
+        residual = lambda tau, z: mp.mpc(mp.nan) if mp.re(tau) else mp.mpc(1)
+        assert isnan(numeric._worst(DEFAULT_POINTS, residual))
 
 
 def test_transfer_checks_see_the_completion(monkeypatch):
