@@ -35,13 +35,10 @@ Conventions fixed by computation rather than assumption:
   first asks that R' be a Hecke eigenfunction modulo the ideal and the
   second compares against E|V_n from `e21_value`.  `period_quadrature`
   keeps the quadrature of the integral above as the independent oracle of
-  the checks that the closed form would make tautologies.  It walks mpmath's
-  tanh-sinh nodes once per piece of the ray for both mu, with the
-  arithmetic of `mp.quad` and so its bits.  It is about fifty times slower
-  than the closed form at a process's first tau, which fills the
-  process-wide tables of ray theta factors, and about six times at each
-  further tau; the tables are keyed by the (piece, degree) and the
-  precision, and the integrals at a tau follow the memo rule below.  With
+  the checks that the closed form would make tautologies: about fifty
+  times slower than the closed form at a process's first tau, which fills
+  the process-wide tables of ray theta factors, and six times at each
+  further tau.  With
   the closed form the transformation law would reduce to phi|T = phi, the
   four-term relation would telescope to R'|T^4 - R', and the extended
   relation would reduce to the lattice invariance of R'.  A test compares
@@ -53,6 +50,11 @@ one e(tau/4) and one e(z) per group of components at that z: `theta_value`
 takes one component, `theta_pair` both at one z, and a lower ray node
 theta_0 at z = 0 and 1/4.
 
+Every integral (the period integrals of P, the Eichler integrals of the
+completion and beta's defining integral) is one tanh-sinh walk
+`_tanh_sinh`, which replays `mp.quad`'s summation on mpmath's nodes, and so
+its bits, for both mu at once; the callers supply the integrand values.
+
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
 tests read the gates from there.  Each check states its identity as a
@@ -63,9 +65,9 @@ All evaluations are pure.  One fixed pairwise tree, `pairwise_sum`,
 reduces the sums over Hecke terms and the rows and terms of
 `eval_expansion`, on raw mpc tuples with the `mpc_add` of the mpc operator,
 so results are bit-stable for a given configuration.  Each
-tau-only factor (c_mu, h_mu and the period integrals) is computed once per
-exact tau and precision inside a `_memo_scope`: one per evaluation of a
-slash sum, and one per quadrature-backed check.
+tau-only factor (c_mu, h_mu, the period and the Eichler integrals) is
+computed once per exact tau and precision inside a `_memo_scope`: one per
+evaluation of a slash sum, and one per quadrature-backed check.
 """
 
 from __future__ import annotations
@@ -93,22 +95,23 @@ class EvalPoint:
     z: complex = 0j
 
     def __post_init__(self):
-        _require_finite(self.tau, self.z)
-        if not (getattr(self.tau, "imag", 0) > 0):
-            raise DomainError("tau must lie in the upper half plane")
+        _require_point(self.tau, self.z)
 
 
-def _require_finite(tau, z):
-    """DomainError unless tau and z are finite: a nan or an infinity would
-    give a nan value beside a finite tail bound, or an error from deep in
-    mpmath."""
+def _require_point(tau, z=0):
+    """DomainError unless tau and z are finite and tau lies in the upper half
+    plane: a nan or an infinity would give a nan value beside a finite tail
+    bound, or an error from deep in mpmath, and at Im tau <= 0 neither theta
+    nor the completion series converges."""
     if not (mp.isfinite(tau) and mp.isfinite(z)):
         raise DomainError("tau and z must be finite")
+    if not mp.im(tau) > 0:
+        raise DomainError("tau must lie in the upper half plane")
 
 
 @dataclass(frozen=True)
 class NumericConfig:
-    quad_nodes: int = 6       # maxdegree of mp.quad's tanh-sinh rule
+    quad_nodes: int = 6       # largest degree of the tanh-sinh walk `_tanh_sinh`
     dps: int = 30             # working precision in decimal digits
     # Constants, not fields: the floor of the h_mu truncation, which the order
     # derived from Im tau already covers, and the largest tail bound
@@ -322,8 +325,9 @@ def slash_ring_term(fval, e, k, m):
 
 
 # The memo of the open `_memo_scope`, None outside one: the tau-only factors
-# `completion_term`, `_h_mu_value` and `_period_integrals`, keyed by their
-# arguments (the exact tau among them) and the precision.
+# `completion_term`, `_h_mu_value`, `_period_integrals` and
+# `_eichler_integrals`, keyed by their arguments (the exact tau among them)
+# and the precision.
 _SUM_MEMO: ContextVar[dict | None] = ContextVar("_SUM_MEMO", default=None)
 
 
@@ -422,39 +426,92 @@ def theta_value(mu: int, tau, z):
     q^((r-2)^2/4) q^(r-1) and zeta^(+-r) = zeta^(+-(r-2)) zeta^(+-2), so a
     call takes the two exponentials e(tau/4) and e(z).  The recurrence runs
     with `_GUARD_DPS` extra digits, and the sum keeps them."""
+    _require_point(tau, z)
     return _theta_sums(tau, ((z, (mu,)),))[0]
 
 
 def theta_pair(tau, z):
     """(theta_0(tau, z), theta_1(tau, z)) from one pair of exponentials; each
     component is bit-identical to its `theta_value`."""
+    _require_point(tau, z)
     return tuple(_theta_sums(tau, ((z, (0, 1)),)))
+
+
+def _tanh_sinh(interval, maxdegree: int, count: int, values):
+    """[mp.quad(f_c, interval, maxdegree=maxdegree) for c in range(count)] bit
+    for bit, from one walk over mpmath's tanh-sinh nodes.
+
+    values(degree, nodes, running) returns the raw weights w of the degree's
+    nodes and, for each c in running, the column of raw mpf or mpc values
+    f_c(x) at them, evaluated at the walk's precision prec + 20 as `mp.quad`
+    evaluates its integrand; nodes() lists the rule's nodes (x, w).  A caller
+    that keeps the weights need not call it, and should not: mpmath keeps the
+    node list of an interval from its second request on.  The walk only sums,
+    as `mp.quad` does: degree by degree h (S_prev / 2h + sum w f(x)), with the
+    exact products and single rounding of `fdot` (an mpf for a real f), then
+    `estimate_error` and the stop at eps/8 for each c separately; the results
+    are rounded to prec."""
+    rule, prec, epsilon = mp.mp._tanh_sinh, mp.mp.prec, mp.eps / 8
+    results, running = [[] for _ in range(count)], list(range(count))
+    mul, fsum = libmp.mpf_mul, libmp.mpf_sum
+    with mp.workprec(prec + 20):
+        wprec, rnd = mp.mp._prec_rounding
+        for degree in range(1, maxdegree + 1):
+            active = tuple(running)
+            weights, columns = values(degree, lambda: rule.get_nodes(*interval, degree, prec), active)
+            h = mp.mpf(2) ** (-degree)
+            for c, column in zip(active, columns, strict=True):
+                if len(column[0]) == 2:  # raw mpc values; a raw mpf has four fields
+                    real = fsum([mul(w, re) for w, (re, _) in zip(weights, column)], wprec, rnd)
+                    imag = fsum([mul(w, im) for w, (_, im) in zip(weights, column)], wprec, rnd)
+                    step = mp.make_mpc((real, imag))
+                else:
+                    step = mp.make_mpf(fsum([mul(w, f) for w, f in zip(weights, column)], wprec, rnd))
+                total = results[c][-1] / (h * 2) if results[c] else mp.mp.zero
+                total += step
+                results[c].append(h * total)
+                if degree > 1 and rule.estimate_error(results[c], prec, epsilon) <= epsilon:
+                    running.remove(c)
+            if not running:
+                break
+    return [+r[-1] for r in results]  # rounded to prec, as mp.quad returns
+
+
+def _beta_argument(x):
+    """x as an mpf, DomainError unless finite and nonnegative (nan included)."""
+    x = mp.mpf(x)
+    if not (mp.isfinite(x) and x >= 0):
+        raise DomainError("argument must be finite and nonnegative")
+    return x
 
 
 def beta_fn(x):
     """(1/16 pi) int_1^inf u^(-3/2) e^(-xu) du in closed form."""
-    x = mp.mpf(x)
-    if x < 0:
-        raise DomainError("argument must be nonnegative")
+    x = _beta_argument(x)
     if x == 0:
         return 1 / (8 * mp.pi)
     return (2 * mp.e ** (-x) - 2 * mp.sqrt(mp.pi * x) * mp.erfc(mp.sqrt(x))) / (16 * mp.pi)
 
 
 def beta_fn_quadrature(x, cfg: NumericConfig = DEFAULT_CONFIG):
-    """Direct adaptive quadrature of the defining integral (oracle for beta_fn)."""
-    x = mp.mpf(x)
-    if x < 0:
-        raise DomainError("argument must be nonnegative")
+    """The defining integral by `_tanh_sinh` (oracle for beta_fn): a real
+    integrand, so a real value, bit for bit `mp.quad`'s."""
+    x = _beta_argument(x)
+
+    def values(degree, nodes, running):
+        nodes = nodes()
+        return [w._mpf_ for _, w in nodes], [
+            [(u ** mp.mpf(-1.5) * mp.e ** (-x * u))._mpf_ for u, _ in nodes]]
+
     with mp.workdps(cfg.dps):
-        return mp.quad(lambda u: u ** mp.mpf(-1.5) * mp.e ** (-x * u), [1, mp.inf],
-                       maxdegree=cfg.quad_nodes) / (16 * mp.pi)
+        return _tanh_sinh((1, mp.inf), cfg.quad_nodes, 1, values)[0] / (16 * mp.pi)
 
 
 def completion_term(mu: int, tau):
     """v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v) q^(-l^2/4); the
     nonholomorphic completion component attached to the class numbers, once
     per memo scope (`_per_sum`)."""
+    _require_point(tau)
     return _per_sum(_completion_series, mu, mp.mpc(tau))
 
 
@@ -486,10 +543,11 @@ _RAY: dict = {}
 _P32 = mp.mpf(-1.5)._mpf_
 
 
-def _ray_table(piece: str, degree: int, prec: int):
-    """One row (s, w, F_0, F_1) of raw mpf values per tanh-sinh node x of the
-    piece at this degree and precision: w is the node's weight, tau + i s
-    the kernel argument and F_mu the real theta factor of mu:
+def _ray_table(piece: str, degree: int, prec: int, nodes):
+    """One row (s, w, F_0, F_1) of raw mpf values per node (x, w) of the
+    piece's tanh-sinh rule at this degree and precision, listed by nodes():
+    w is the node's weight, tau + i s the kernel argument and F_mu the real
+    theta factor of mu:
 
     * upper, on [1, inf): s = t = x and F_mu = theta_mu(i t, 0) - (1 - mu),
       theta minus its limit as t -> inf;
@@ -500,7 +558,7 @@ def _ray_table(piece: str, degree: int, prec: int):
     key = (piece, degree, prec)
     if key not in _RAY:
         rows = []
-        for x, w in mp.mp._tanh_sinh.get_nodes(*_PIECES[piece], degree, prec):
+        for x, w in nodes():
             if piece == "upper":
                 shift = x
                 factors = [theta.real - (1 - mu) for mu, theta in enumerate(theta_pair(1j * x, 0))]
@@ -516,41 +574,25 @@ def _ray_table(piece: str, degree: int, prec: int):
 def _ray_integrals(piece: str, tau, maxdegree: int):
     """[mp.quad(lambda s: (tau + i s)^(-3/2) F_mu(s), piece, maxdegree=
     maxdegree) for mu in (0, 1)] bit for bit, with F_mu the factors of
-    `_ray_table` (s = u^2 on the lower piece), from one walk over the nodes.
+    `_ray_table` (s = u^2 on the lower piece), from one `_tanh_sinh` walk.
+    Each kernel power is taken once per node for both mu, by the call
+    `mpc ** mpf` makes, and multiplied by F_mu as `mpc * mpf` rounds it."""
+    prec = mp.mp.prec
+    tre, tim = tau._mpc_
 
-    The walk replays `mp.quad`'s tanh-sinh summation: at prec + 20, degree by
-    degree, the step sum h (S_prev / 2h + sum w f(x)) with the dot product
-    rounded once, `estimate_error` and the stop at epsilon = eps/8, for each mu
-    separately; the result is rounded to prec.  Each kernel power is taken
-    once per node for both mu, by the call `mpc ** mpf` makes."""
-    rule, prec, epsilon = mp.mp._tanh_sinh, mp.mp.prec, mp.eps / 8
-    results, running = ([], []), [0, 1]
-    with mp.workprec(prec + 20):
+    def values(degree, nodes, running):
         wprec, rnd = mp.mp._prec_rounding
         # tau + i s as `mpc_add` forms it: the real part once, the imaginary per node
-        tim = tau._mpc_[1]
-        re = libmp.mpf_add(tau._mpc_[0], libmp.fzero, wprec, rnd)
-        for degree in range(1, maxdegree + 1):
-            parts = {mu: ([], []) for mu in running}
-            for s, w, *factors in _ray_table(piece, degree, prec):
-                kre, kim = libmp.mpc_pow_mpf((re, libmp.mpf_add(tim, s, wprec, rnd)), _P32, wprec, rnd)
-                for mu, (real, imag) in parts.items():
-                    # the value rounded as `mpc * mpf` rounds it, then the
-                    # exact products with the weight that `fdot` sums
-                    f = factors[mu]
-                    real.append(libmp.mpf_mul(w, libmp.mpf_mul(kre, f, wprec, rnd)))
-                    imag.append(libmp.mpf_mul(w, libmp.mpf_mul(kim, f, wprec, rnd)))
-            h = mp.mpf(2) ** (-degree)
-            for mu, (real, imag) in parts.items():
-                step = mp.make_mpc((libmp.mpf_sum(real, wprec, rnd), libmp.mpf_sum(imag, wprec, rnd)))
-                total = results[mu][-1] / (h * 2) if results[mu] else mp.mp.zero
-                total += step
-                results[mu].append(h * total)
-                if degree > 1 and rule.estimate_error(results[mu], prec, epsilon) <= epsilon:
-                    running.remove(mu)
-            if not running:
-                break
-    return [+r[-1] for r in results]  # rounded to prec, as mp.quad returns
+        re = libmp.mpf_add(tre, libmp.fzero, wprec, rnd)
+        rows = _ray_table(piece, degree, prec, nodes)
+        columns = [[] for _ in running]
+        for row in rows:
+            kernel = libmp.mpc_pow_mpf((re, libmp.mpf_add(tim, row[0], wprec, rnd)), _P32, wprec, rnd)
+            for column, mu in zip(columns, running):
+                column.append(libmp.mpc_mul_mpf(kernel, row[2 + mu], wprec, rnd))
+        return [row[1] for row in rows], columns
+
+    return _tanh_sinh(_PIECES[piece], maxdegree, 2, values)
 
 
 def _period_integrals(tau, degree: int):
@@ -571,17 +613,17 @@ def _period_integrals(tau, degree: int):
 def period_quadrature(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     """P(tau, z) for the weight-2 index-1 class-number series, via the two
     component integrals along the ray (0, i inf).  Both integrals at a tau are
-    computed together, by one walk over the quadrature nodes per piece of the
-    ray (`_ray_integrals`), which takes each kernel power (tau + i t)^(-3/2)
-    once for both, and once per tau in a `_memo_scope` (`_per_sum`).  The ray
+    computed together, by one `_tanh_sinh` walk per piece of the ray
+    (`_ray_integrals`), which takes each kernel power (tau + i t)^(-3/2) once
+    for both, and once per tau in a `_memo_scope` (`_per_sum`).  The ray
     theta factors come from the process-wide node-aligned tables `_RAY`, so a
     new tau computes only the kernel powers and the two theta_mu(tau, z).
-    The walk equals `mp.quad` of each integral bit for bit.
+    Each integral equals `mp.quad`'s bit for bit.
 
     This quadrature is independent of the completion, so it is the oracle of
     the transformation law, the period relations, the extended relation and
     of `period_value` itself."""
-    _require_finite(tau, z)
+    _require_point(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
         integrals = _per_sum(_period_integrals, tau, cfg.quad_nodes)
@@ -589,27 +631,38 @@ def period_quadrature(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
         return -(24 / mp.pi) * (1 + 1j) / 16 * total
 
 
+def _eichler_integrals(tau, degree: int):
+    """int_0^inf (i (2v + s))^(-3/2) (theta_mu(-u + i (v + s), 0) - delta_mu0) ds
+    at tau = u + i v for mu = 0 and 1, each `mp.quad`'s bit for bit, from one
+    `_tanh_sinh` walk: a node takes both theta_mu from one `theta_pair` and
+    the kernel power once."""
+    u, v = mp.re(tau), mp.im(tau)
+
+    def values(degree, nodes, running):
+        weights, kernels, factors = [], [], []
+        for s, w in nodes():
+            weights.append(w._mpf_)
+            kernels.append((1j * (2 * v + s)) ** mp.mpf(-1.5))
+            theta0, theta1 = theta_pair(mp.mpc(-u, v + s), 0)
+            factors.append((theta0 - 1, theta1))
+        return weights, [[(k * f[mu])._mpc_ for k, f in zip(kernels, factors)] for mu in running]
+
+    return _tanh_sinh((0, mp.inf), degree, 2, values)
+
+
 def eichler_theta_integral(mu: int, tau, cfg: NumericConfig = DEFAULT_CONFIG):
     """Both sides of the completion identity at tau: the beta series
     v^(-1/2) sum beta(pi l^2 v) q^(-l^2/4) and the ray integral
     (1+i)/(16 pi) int_{-conj(tau)}^{i inf} (t + tau)^(-3/2) theta_mu(t, 0) dt;
-    returns (series_side, integral_side)."""
+    returns (series_side, integral_side).  The integrals of both mu come
+    from `_eichler_integrals`, once per tau in a `_memo_scope` (`_per_sum`)."""
+    _require_point(tau)
     with mp.workdps(cfg.dps):
         tau = mp.mpc(tau)
-        u, v = mp.re(tau), mp.im(tau)
         series_side = completion_term(mu, tau)
-
-        theta_ray = lambda s: theta_value(mu, mp.mpc(-u, v + s), 0)
-
-        p32 = mp.mpf(-1.5)
-        if mu == 0:
-            main = 2 * (2j * v) ** mp.mpf(-0.5)
-            rest = 1j * mp.quad(lambda s: (1j * (2 * v + s)) ** p32 * (theta_ray(s) - 1),
-                                [0, mp.inf], maxdegree=cfg.quad_nodes)
-            integral = main + rest
-        else:
-            integral = 1j * mp.quad(lambda s: (1j * (2 * v + s)) ** p32 * theta_ray(s),
-                                    [0, mp.inf], maxdegree=cfg.quad_nodes)
+        # theta_0 - 1 leaves the limit 1 of theta_0, which integrates in closed form
+        rest = 1j * _per_sum(_eichler_integrals, tau, cfg.quad_nodes)[mu]
+        integral = 2 * (2j * mp.im(tau)) ** mp.mpf(-0.5) + rest if mu == 0 else rest
         integral_side = (1 + 1j) / (16 * mp.pi) * integral
         return series_side, integral_side
 
@@ -645,7 +698,7 @@ def e21_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     section 5; checked coefficientwise by `fourier.theta_decomposition_check`).
     It costs O(Q) one-variable terms plus an adaptive `theta_value`, with no
     tail in the zeta direction."""
-    _require_finite(tau, z)
+    _require_point(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
         return -12 * _theta_decomposition(tau, z, lambda mu: _h_mu_value(mu, tau, cfg))
@@ -661,7 +714,7 @@ def phi_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG, holomorphic_only=Fals
     defect survives.  The same factor is visible classically: at 4 tau the
     two components must sum to the completed weight-3/2 class-number series,
     whose completion is twice the sum of the two printed component terms."""
-    _require_finite(tau, z)
+    _require_point(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
 
@@ -685,7 +738,7 @@ def period_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     E|T - E = 12 (R'|T - R'), and the transformation law E|T - E = P gives
     P.  R' is evaluated with `_GUARD_DPS` extra digits; the value
     agrees with the quadrature `period_quadrature` at working precision."""
-    _require_finite(tau, z)
+    _require_point(tau, z)
     with mp.workdps(cfg.dps + _GUARD_DPS):
         tau, z = mp.mpc(tau), mp.mpc(z)
         acted = slash(_completion_value, generator("T"), 2, 1)(tau, z)
@@ -882,9 +935,10 @@ def check_beta(cfg: NumericConfig = DEFAULT_CONFIG, xs=(0.3, 1.0, 2.5)) -> dict:
 def check_eichler_integral(cfg: NumericConfig = DEFAULT_CONFIG,
                            taus=(1j, 2j, complex(0.5, 1.3))) -> dict:
     """Largest gap between the two sides of `eichler_theta_integral` over
-    mu in {0, 1} and the given tau."""
-    err = _largest(abs(series - integral) for mu in (0, 1) for tau in taus
-                   for series, integral in [eichler_theta_integral(mu, tau, cfg)])
+    mu in {0, 1} and the given tau, in one memo scope: one walk per tau."""
+    with _memo_scope():
+        err = _largest(abs(series - integral) for mu in (0, 1) for tau in taus
+                       for series, integral in [eichler_theta_integral(mu, tau, cfg)])
     return {"check": "eichler_integral", "max_abs_error": err}
 
 

@@ -87,6 +87,43 @@ def test_point_evaluators_refuse_non_finite_coordinates(evaluator, tau, z):
         evaluator(tau, z, CFG)
 
 
+@pytest.mark.parametrize("call", [
+    lambda tau: EvalPoint(tau),
+    lambda tau: theta_value(0, tau, 0.1),
+    lambda tau: numeric.theta_pair(tau, 0.1),
+    lambda tau: numeric.completion_term(0, tau),
+    lambda tau: eichler_theta_integral(1, tau, CFG),
+    lambda tau: e21_value(tau, 0.1, CFG),
+    lambda tau: phi_value(tau, 0.1, CFG),
+    lambda tau: period_value(tau, 0.1, CFG),
+    lambda tau: period_quadrature(tau, 0.1, CFG),
+], ids=["EvalPoint", "theta_value", "theta_pair", "completion_term", "eichler_theta_integral",
+        "e21_value", "phi_value", "period_value", "period_quadrature"])
+@pytest.mark.parametrize("tau", [complex(0.3, 0), complex(0.3, -0.5), mp.mpc(0, "-1e-40")])
+def test_tau_entry_points_refuse_the_lower_half_plane(monkeypatch, call, tau):
+    # theta, e21_value and period_value raised a TypeError below the real
+    # axis, period_quadrature a ZeroDivisionError on it, and completion_term
+    # and eichler_theta_integral never returned at Im tau = 0: with the sums
+    # behind the entry points made to fail, a missing check fails the test
+    # instead of hanging it
+    def unreached(*args):
+        raise AssertionError("evaluated outside the upper half plane")
+
+    for name in ("_theta_sums", "_completion_series", "_tanh_sinh"):
+        monkeypatch.setattr(numeric, name, unreached)
+    with pytest.raises(DomainError):
+        call(tau)
+
+
+@pytest.mark.parametrize("x", [NAN, INF, -1, mp.mpf("-1e-40")])
+@pytest.mark.parametrize("beta", [beta_fn, beta_fn_quadrature])
+def test_beta_refuses_arguments_outside_its_domain(beta, x):
+    # a nan passed the x < 0 test and gave nan, and the closed form is nan
+    # at +inf
+    with pytest.raises(DomainError):
+        beta(x)
+
+
 def test_e_is_exact_at_quarter_integers():
     with mp.workdps(30):
         for k in range(-4, 5):
@@ -514,15 +551,9 @@ def test_ray_factor_memo_keeps_values_exact(monkeypatch):
 
 def test_both_component_integrals_come_from_one_computation(monkeypatch):
     # one walk per piece of the ray gives both mu; a second z at a tau
-    # already integrated walks no more in the same memo scope, and no
-    # mp.quad is made
+    # already integrated walks no more in the same memo scope
     walks = []
     _counting(monkeypatch, "_ray_integrals", walks)
-
-    def no_quad(*args, **kwargs):
-        raise AssertionError("period_quadrature called mp.quad")
-
-    monkeypatch.setattr(mp, "quad", no_quad)
     tau = mp.mpc(0.1, 1.2)
     with numeric._memo_scope():
         first = period_quadrature(tau, 0, CFG)
@@ -583,10 +614,26 @@ def _ray_quad(piece, mu, tau, maxdegree, memo):
     return value, len(calls)
 
 
+def _eichler_quad(mu, tau, maxdegree):
+    """mp.quad of the Eichler integrand of mu at tau at the active precision,
+    and the number of integrand calls it made."""
+    u, v = mp.re(tau), mp.im(tau)
+    calls = []
+
+    def integrand(s):
+        calls.append(s)
+        theta = theta_value(mu, mp.mpc(-u, v + s), 0)
+        return (1j * (2 * v + s)) ** mp.mpf(-1.5) * (theta - 1 if mu == 0 else theta)
+
+    return mp.quad(integrand, [0, mp.inf], maxdegree=maxdegree), len(calls)
+
+
 @pytest.mark.parametrize("dps, nodes", [(30, 6), (30, 7), (45, 6), (45, 7), (60, 6), (60, 7)])
 def test_ray_walk_equals_mp_quad(dps, nodes):
-    # mp.quad of each (piece, mu) integrand is the oracle of the one-pass walk,
-    # bit for bit, from Im tau = 0.1 to 10
+    # mp.quad is the oracle of every `_tanh_sinh` walk, bit for bit: each
+    # (piece, mu) integrand of the period ray from Im tau = 0.1 to 10, the
+    # Eichler integrand of each mu at Re tau = 0 and Re tau != 0, and the
+    # real beta integrand, whose value stays an mpf
     rng = random.Random(dps * 10 + nodes)
     memo = {}
     with mp.workdps(dps):
@@ -598,21 +645,84 @@ def test_ray_walk_equals_mp_quad(dps, nodes):
                 for mu in (0, 1):
                     want, _ = _ray_quad(piece, mu, tau, nodes, memo)
                     assert walked[mu]._mpc_ == want._mpc_, (tau, piece, mu)
+        for tau in (mp.mpc(0, 1), mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 3))):
+            walked = numeric._eichler_integrals(tau, nodes)
+            for mu in (0, 1):
+                want, _ = _eichler_quad(mu, tau, nodes)
+                assert walked[mu]._mpc_ == want._mpc_, (tau, mu)
+        for x in (0, 0.3, rng.uniform(0, 7)):
+            arg = mp.mpf(x)
+            want = mp.quad(lambda u: u ** mp.mpf(-1.5) * mp.e ** (-arg * u), [1, mp.inf],
+                           maxdegree=nodes) / (16 * mp.pi)
+            walked = beta_fn_quadrature(x, NumericConfig(quad_nodes=nodes, dps=dps))
+            assert type(walked) is mp.mpf and walked._mpf_ == want._mpf_, x
 
 
-def test_ray_walk_stops_each_mu_at_its_own_degree():
+def _recording_walks(monkeypatch):
+    """Wrap numeric._tanh_sinh so that each degree of a walk records
+    (degree, the components still running) in the returned list."""
+    walk, degrees = numeric._tanh_sinh, []
+
+    def recording(interval, maxdegree, count, values):
+        def recorded(degree, nodes, running):
+            degrees.append((degree, running))
+            return values(degree, nodes, running)
+
+        return walk(interval, maxdegree, count, recorded)
+
+    monkeypatch.setattr(numeric, "_tanh_sinh", recording)
+    return degrees
+
+
+def test_ray_walk_stops_each_mu_at_its_own_degree(monkeypatch):
     # at 30 digits and tau = i/10 the upper piece converges at degree 5 for
     # mu = 0 and runs to degree 6 for mu = 1: one walk serves both
+    degrees = _recording_walks(monkeypatch)
     with mp.workdps(30):
         tau = mp.mpc(0, 0.1)
         memo = {}
         (q0, n0), (q1, n1) = (_ray_quad("upper", mu, tau, 6, memo) for mu in (0, 1))
         assert n0 < n1  # mp.quad stopped mu = 0 first
-        prec = mp.mp.prec
-        assert n0 == sum(len(numeric._ray_table("upper", d, prec)) for d in range(1, 6))
-        assert n1 == n0 + len(numeric._ray_table("upper", 6, prec))
+        nodes = lambda degree: len(mp.mp._tanh_sinh.get_nodes(1, mp.inf, degree, mp.mp.prec))
+        assert n0 == sum(nodes(d) for d in range(1, 6))
+        assert n1 == n0 + nodes(6)
         walked = numeric._ray_integrals("upper", tau, 6)
         assert (walked[0]._mpc_, walked[1]._mpc_) == (q0._mpc_, q1._mpc_)
+    assert degrees == [(d, (0, 1)) for d in range(1, 6)] + [(6, (1,))]
+
+
+def test_eichler_walk_stops_each_mu_at_its_own_degree(monkeypatch):
+    # at 30 digits and tau = (1 + i)/2 the Eichler integral of mu = 0
+    # converges at degree 5 and that of mu = 1 runs to degree 6
+    degrees = _recording_walks(monkeypatch)
+    with mp.workdps(30):
+        tau = mp.mpc(0.5, 0.5)
+        (q0, n0), (q1, n1) = (_eichler_quad(mu, tau, 6) for mu in (0, 1))
+        nodes = lambda degree: len(mp.mp._tanh_sinh.get_nodes(0, mp.inf, degree, mp.mp.prec))
+        assert n0 == sum(nodes(d) for d in range(1, 6))
+        assert n1 == n0 + nodes(6)
+        walked = numeric._eichler_integrals(tau, 6)
+        assert (walked[0]._mpc_, walked[1]._mpc_) == (q0._mpc_, q1._mpc_)
+    assert degrees == [(d, (0, 1)) for d in range(1, 6)] + [(6, (1,))]
+
+
+def test_no_check_calls_mp_quad(monkeypatch):
+    # every quadrature is a `_tanh_sinh` walk: no check of the suite calls
+    # mp.quad, and the Eichler check walks once per distinct tau for both mu
+    # in one memo scope, closed after the check
+    def no_quad(*args, **kwargs):
+        raise AssertionError("mp.quad called")
+
+    monkeypatch.setattr(mp, "quad", no_quad)
+    walks = []
+    _counting(monkeypatch, "_tanh_sinh", walks)
+    for name, check in CHECKS.items():
+        walks.clear()
+        report = check.run(CFG, 2 if name == "theorem1" else None)
+        assert report[check.key] < check.gate, name
+        if name == "eichler":
+            assert len(walks) == 3
+        assert numeric._SUM_MEMO.get() is None
 
 
 def test_theta_pair_equals_both_components():
