@@ -35,10 +35,10 @@ Conventions fixed by computation rather than assumption:
   first asks that R' be a Hecke eigenfunction modulo the ideal and the
   second compares against E|V_n from `e21_value`.  `period_quadrature`
   keeps the quadrature of the integral above as the independent oracle of
-  the checks that the closed form would make tautologies: about fifty
-  times slower than the closed form at a process's first tau, which fills
-  the process-wide tables of ray theta factors, and six times at each
-  further tau.  With
+  the checks that the closed form would make tautologies: about 20 times
+  slower than the closed form at a process's first tau, which fills the
+  process-wide tables of ray theta factors, and three to four times at
+  each further tau.  With
   the closed form the transformation law would reduce to phi|T = phi, the
   four-term relation would telescope to R'|T^4 - R', and the extended
   relation would reduce to the lattice invariance of R'.  A test compares
@@ -48,12 +48,19 @@ Every theta value, at (tau, z) and on the quadrature's ray alike, comes
 from the one sum `_theta_sums`, which builds its terms by recurrence from
 one e(tau/4) and one e(z) per group of components at that z: `theta_value`
 takes one component, `theta_pair` both at one z, and a lower ray node
-theta_0 at z = 0 and 1/4.
+theta_0 at z = 0 and 1/4.  Every ray node lies on the imaginary axis with z
+= 0 or 1/4, where the sum takes its axis branch: the same recurrence on real
+parts, with no e(z), bit for bit the complex one.
 
 Every integral (the period integrals of P, the Eichler integrals of the
 completion and beta's defining integral) is one tanh-sinh walk
 `_tanh_sinh`, which replays `mp.quad`'s summation on mpmath's nodes, and so
-its bits, for both mu at once; the callers supply the integrand values.
+its bits, for both mu at once; the callers supply the integrand values.  The
+kernel powers (tau + w)^(-3/2) of the period and Eichler integrals come from
+one integer function, `_kernel`, with the bits of mpmath's complex power.
+The kernel, the walk's sums and the theta recurrences run on integer pairs
+that round as libmp does (`_round`, `_add`, `_cmul`), which costs about half
+of libmp's tuples.
 
 The floating checks of `verify numeric` and `verify theorem1` are listed
 once, in `CHECKS` (runner, report key, pass gate); the command line and the
@@ -67,7 +74,8 @@ reduces the sums over Hecke terms and the rows and terms of
 so results are bit-stable for a given configuration.  Each
 tau-only factor (c_mu, h_mu, the period and the Eichler integrals) is
 computed once per exact tau and precision inside a `_memo_scope`: one per
-evaluation of a slash sum, and one per quadrature-backed check.
+evaluation of a slash sum, and one per quadrature-backed check; each beta
+value of the completion series once per exact argument.
 """
 
 from __future__ import annotations
@@ -83,6 +91,7 @@ from typing import Callable, ClassVar, NamedTuple
 import mpmath as mp
 from mpmath import libmp
 
+from .arith import sigma
 from .errors import DomainError, PrecisionError
 from .fourier import JacobiExpansion, QSeries, e21_expansion, h_mu_series
 from .group_ring import FormalSum, hecke_hat, hecke_hat_V, tilde_T, tilde_V
@@ -327,7 +336,7 @@ def slash_ring_term(fval, e, k, m):
 # The memo of the open `_memo_scope`, None outside one: the tau-only factors
 # `completion_term`, `_h_mu_value`, `_period_integrals` and
 # `_eichler_integrals`, keyed by their arguments (the exact tau among them)
-# and the precision.
+# and the precision, and the `beta_fn` values of `_completion_series`.
 _SUM_MEMO: ContextVar[dict | None] = ContextVar("_SUM_MEMO", default=None)
 
 
@@ -367,6 +376,123 @@ def slash_formal_sum(fval, f: FormalSum, k, m):
 
 
 # ---------------------------------------------------------------------------
+# Integer arithmetic with libmp's roundings
+#
+# The hot loops of `_theta_sums`, `_kernel` and `_tanh_sinh` run on pairs
+# (man, exp) of Python ints, the value man 2^exp with man odd or 0, as in a
+# normalized raw mpf.  Each function returns, as such a pair, the value of
+# the libmp call it names at (prec, rnd), at a fraction of its cost; the
+# exponents and bit lengths it reads are those of the normalized tuples, so
+# where libmp's rounding depends on them (the shortcuts of `_add` and
+# `_fdot`) it still agrees.
+
+
+def _pair(x):
+    """A finite raw mpf as a pair."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _raw(x):
+    """A pair as a raw mpf."""
+    man, exp = x
+    if not man:
+        return libmp.fzero
+    return (1, -man, exp, (-man).bit_length()) if man < 0 else (0, man, exp, man.bit_length())
+
+
+def _round(man, exp, prec, rnd):
+    """libmp's normalize: man 2^exp rounded to prec bits, to nearest with
+    ties to even (rnd "n", the one mode of an mpmath context) or toward zero
+    ("d")."""
+    m = abs(man)
+    n = m.bit_length() - prec
+    if n > 0:
+        q = m >> n
+        if rnd == "n" and m >> (n - 1) & 1 and (q & 1 or m & ((1 << (n - 1)) - 1)):
+            q += 1
+        m, exp = q, exp + n
+    elif not m:
+        return 0, 0
+    if not m & 1:
+        zeros = (m & -m).bit_length() - 1
+        m, exp = m >> zeros, exp + zeros
+    return (m if man > 0 else -m), exp
+
+
+def _add(m1, e1, m2, e2, prec, rnd):
+    """mpf_add at (prec, rnd), with its shortcut: a term more than prec + 4
+    bits below the other's top and more than 100 exponents below it becomes a
+    unit of its sign at the other's exponent - prec - 4."""
+    if not (m1 and m2):
+        return _round(m1, e1, prec, rnd) if m1 else _round(m2, e2, prec, rnd)
+    if e1 < e2:
+        m1, e1, m2, e2 = m2, e2, m1, e1
+    if e1 - e2 > 100 and e1 + m1.bit_length() - e2 - m2.bit_length() > prec + 4:
+        return _round((m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4, prec, rnd)
+    return _round((m1 << e1 - e2) + m2, e2, prec, rnd)
+
+
+def _div(n, ne, d, de, prec, rnd):
+    """mpf_div at (prec, rnd) for d > 0: the quotient to prec + 2 bits or
+    more, with a sticky bit for a remainder (a floor suffices to round down)."""
+    m = -n if n < 0 else n
+    shift = max(0, prec + d.bit_length() - m.bit_length() + 3)
+    if rnd == "d":
+        q = (m << shift) // d
+    else:
+        q, r = divmod(m << shift, d)
+        if r:
+            q, shift = (q << 1) | 1, shift + 1
+    return _round(-q if n < 0 else q, ne - de - shift, prec, rnd)
+
+
+def _sqrt_down(man, exp, prec):
+    """mpf_sqrt at (prec, "d") for man > 0."""
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(0, 2 * prec - man.bit_length())
+    shift += shift & 1
+    return _round(math.isqrt(man << shift), (exp - shift) // 2, prec, "d")
+
+
+def _cmul(z, w, prec, rnd):
+    """mpc_mul at (prec, rnd) on pairs of pairs: the exact products and one
+    rounded sum per part."""
+    (a, ae), (b, be) = z
+    (c, ce), (d, de) = w
+    return (_add(a * c, ae + ce, -b * d, be + de, prec, rnd),
+            _add(a * d, ae + de, b * c, be + ce, prec, rnd))
+
+
+def _cadd(z, w, prec, rnd):
+    """mpc_add at (prec, rnd) on pairs of pairs."""
+    return _add(*z[0], *w[0], prec, rnd), _add(*z[1], *w[1], prec, rnd)
+
+
+def _fdot(ws, fs, prec, rnd):
+    """mpf_sum([mpf_mul(w, f) for w, f in zip(ws, fs)], prec, rnd): the exact
+    products summed in order, with mpf_sum's drop of the smaller of the
+    running sum and a new term once they lie more than 2 prec bits apart,
+    and one rounding."""
+    man = exp = 0
+    for (wm, we), (fm, fe) in zip(ws, fs):
+        xm, xe = wm * fm, we + fe
+        if not xm:
+            continue
+        if xe >= exp:
+            if xe - exp > 2 * prec and (not man or xe - exp - man.bit_length() > 2 * prec):
+                man, exp = xm, xe
+            else:
+                man += xm << xe - exp
+        elif exp - xe - xm.bit_length() <= 2 * prec:
+            man, exp = (man << exp - xe) + xm, xe
+        elif not man:
+            man, exp = xm, xe
+    return _round(man, exp, prec, rnd)
+
+
+# ---------------------------------------------------------------------------
 # Theta, completion terms, and the period integral
 
 
@@ -384,36 +510,87 @@ def _kexp(prec: int):
         return (mp.mp.dps + 4) * mp.log(10) / (2 * mp.pi)
 
 
+# z = 0 and z = 1/4 as raw mpc values: with Re tau = 0 every theta term there
+# is real (`_theta_sums`).
+_AXIS_Z = (libmp.mpc_zero, (libmp.from_man_exp(1, -2), libmp.fzero))
+
+
 def _theta_sums(tau, groups):
     """[theta_mu(tau, z) for (z, mus) in groups for mu in mus]: the
     exponential e(tau/4) and its powers are taken once for all, e(z), its
     powers and the truncation rmax once per group, and each (mu, z) runs its
-    own recurrence."""
+    own recurrence.  Each step has the bits of the mpc or mpf operator it
+    stands for: the powers that start a recurrence are libmp's own calls,
+    and the recurrence runs on integer pairs (`_cmul`, `_cadd`).
+
+    On the imaginary axis with every z in {0, 1/4}, as on each row of the
+    ray tables, zeta^r + zeta^-r is 2, 0 or -2 exactly and every imaginary
+    part an exact 0: there the recurrence runs on the real parts alone, with
+    the roundings of `mpf_mul` and `mpf_add`, which the real parts of
+    `mpc_mul` and `mpc_add` then take, and at Im z = 0 one rmax and one
+    sequence of terms per mu serve every z."""
     tau = mp.mpc(tau)
-    v = mp.im(tau)
     groups = [(mp.mpc(z), mus) for z, mus in groups]
-    rmaxes = [int(2 * (y + mp.sqrt(y * y + v * _kexp(mp.mp.prec))) / v) + 2
-              for y in (abs(mp.im(z)) for z, _ in groups)]
+    prec, rnd = mp.mp._prec_rounding
+    # rmax = int(2 (y + sqrt(y^2 + v k)) / v) + 2 at y = |Im z|, at the
+    # caller's precision
+    v = tau._mpc_[1]
+    vk = libmp.mpf_mul(v, _kexp(prec)._mpf_, prec, rnd)
+    rmaxes = []
+    for z, _ in groups:
+        y = libmp.mpf_abs(z._mpc_[1], prec, rnd)
+        root = libmp.mpf_sqrt(libmp.mpf_add(libmp.mpf_mul(y, y, prec, rnd), vk, prec, rnd),
+                              prec, rnd)
+        reach = libmp.mpf_mul_int(libmp.mpf_add(y, root, prec, rnd), 2, prec, rnd)
+        rmaxes.append(libmp.to_int(libmp.mpf_div(reach, v, prec, rnd)) + 2)
     sums = []
-    with mp.workdps(mp.mp.dps + _GUARD_DPS):
-        q4 = _e(tau / 4)
-        q = q4**4
-        q2 = q * q
-        for (z, mus), rmax in zip(groups, rmaxes):
-            zeta = _e(z)
-            inv = 1 / zeta
-            zeta2, inv2 = zeta * zeta, inv * inv
+    prec = libmp.dps_to_prec(mp.mp.dps + _GUARD_DPS)  # the recurrences' guard digits
+    # e(x) as `_e` takes it, expjpi(2x), by the calls of the mpc operators
+    e = lambda x: libmp.mpc_expjpi(libmp.mpc_mul_int(x, 2, prec, rnd), prec, rnd)
+    q4 = e(libmp.mpc_div_mpf(tau._mpc_, libmp.from_int(4), prec, rnd))
+    if tau._mpc_[0] == libmp.fzero and all(z._mpc_ in _AXIS_Z for z, _ in groups):
+        q = libmp.mpf_pow_int(q4[0], 4, prec, rnd)
+        q2 = _pair(libmp.mpf_mul(q, q, prec, rnd))
+        # for each mu the terms r = mu, mu + 2, ..., rmax, each but r = 0
+        # doubled for +-r (exactly, as mpf_mul_int does)
+        terms = {}
+        for mu in {mu for _, mus in groups for mu in mus}:
+            term = _pair(libmp.mpf_pow_int(q4[0], mu * mu, prec, rnd))
+            step = _pair(libmp.mpf_pow_int(q, mu + 1, prec, rnd))
+            terms[mu] = [(term[0], term[1] + (mu > 0))]
+            for _ in range(mu + 2, rmaxes[0] + 1, 2):
+                term = _round(term[0] * step[0], term[1] + step[1], prec, rnd)
+                step = _round(step[0] * q2[0], step[1] + q2[1], prec, rnd)
+                terms[mu].append((term[0], term[1] + 1))
+        for z, mus in groups:
+            # the sign of zeta^r + zeta^-r by r mod 4: zeta = 1 at z = 0,
+            # i at z = 1/4, where it is 2, 0, -2, 0
+            signs = (1, 1, 1, 1) if z._mpc_ == libmp.mpc_zero else (1, 0, -1, 0)
             for mu in mus:
-                # q^(r^2/4), q^(r+1), zeta^r and zeta^-r at r = mu
-                term, step, up, down = q4 ** (mu * mu), q ** (mu + 1), zeta**mu, inv**mu
-                total = term * (up + down) if mu else term
-                for _ in range(mu + 2, rmax + 1, 2):
-                    term *= step
-                    step *= q2
-                    up *= zeta2
-                    down *= inv2
-                    total += term * (up + down)
-                sums.append(total)
+                total = (0, 0)
+                for r, (man, exp) in zip(range(mu, rmaxes[0] + 1, 2), terms[mu]):
+                    if signs[r % 4]:  # adding a zero term leaves the bits
+                        total = _add(*total, signs[r % 4] * man, exp, prec, rnd)
+                sums.append(mp.make_mpc((_raw(total), libmp.fzero)))
+        return sums
+    pairs = lambda z: (_pair(z[0]), _pair(z[1]))
+    q = libmp.mpc_pow_int(q4, 4, prec, rnd)
+    q2 = pairs(libmp.mpc_mul(q, q, prec, rnd))
+    for (z, mus), rmax in zip(groups, rmaxes):
+        zeta = e(z._mpc_)
+        inv = libmp.mpc_mpf_div(libmp.fone, zeta, prec, rnd)  # 1 / zeta
+        zeta2 = pairs(libmp.mpc_mul(zeta, zeta, prec, rnd))
+        inv2 = pairs(libmp.mpc_mul(inv, inv, prec, rnd))
+        for mu in mus:
+            # q^(r^2/4), q^(r+1), zeta^r and zeta^-r at r = mu
+            term, step, up, down = (pairs(libmp.mpc_pow_int(x, n, prec, rnd)) for x, n in (
+                (q4, mu * mu), (q, mu + 1), (zeta, mu), (inv, mu)))
+            total = _cmul(term, _cadd(up, down, prec, rnd), prec, rnd) if mu else term
+            for _ in range(mu + 2, rmax + 1, 2):
+                term, step = _cmul(term, step, prec, rnd), _cmul(step, q2, prec, rnd)
+                up, down = _cmul(up, zeta2, prec, rnd), _cmul(down, inv2, prec, rnd)
+                total = _cadd(total, _cmul(term, _cadd(up, down, prec, rnd), prec, rnd), prec, rnd)
+            sums.append(mp.make_mpc((_raw(total[0]), _raw(total[1]))))
     return sums
 
 
@@ -441,19 +618,19 @@ def _tanh_sinh(interval, maxdegree: int, count: int, values):
     """[mp.quad(f_c, interval, maxdegree=maxdegree) for c in range(count)] bit
     for bit, from one walk over mpmath's tanh-sinh nodes.
 
-    values(degree, nodes, running) returns the raw weights w of the degree's
-    nodes and, for each c in running, the column of raw mpf or mpc values
-    f_c(x) at them, evaluated at the walk's precision prec + 20 as `mp.quad`
+    values(degree, nodes, running) returns the weights w of the degree's
+    nodes as integer pairs and, for each c in running, the column of values
+    f_c(x) at them, pairs for a real f and pairs of pairs (re, im) for a
+    complex one, evaluated at the walk's precision prec + 20 as `mp.quad`
     evaluates its integrand; nodes() lists the rule's nodes (x, w).  A caller
     that keeps the weights need not call it, and should not: mpmath keeps the
     node list of an interval from its second request on.  The walk only sums,
     as `mp.quad` does: degree by degree h (S_prev / 2h + sum w f(x)), with the
-    exact products and single rounding of `fdot` (an mpf for a real f), then
-    `estimate_error` and the stop at eps/8 for each c separately; the results
-    are rounded to prec."""
+    exact products and single rounding of `fdot` (`_fdot`; an mpf for a real
+    f), then `estimate_error` and the stop at eps/8 for each c separately;
+    the results are rounded to prec."""
     rule, prec, epsilon = mp.mp._tanh_sinh, mp.mp.prec, mp.eps / 8
     results, running = [[] for _ in range(count)], list(range(count))
-    mul, fsum = libmp.mpf_mul, libmp.mpf_sum
     with mp.workprec(prec + 20):
         wprec, rnd = mp.mp._prec_rounding
         for degree in range(1, maxdegree + 1):
@@ -461,12 +638,11 @@ def _tanh_sinh(interval, maxdegree: int, count: int, values):
             weights, columns = values(degree, lambda: rule.get_nodes(*interval, degree, prec), active)
             h = mp.mpf(2) ** (-degree)
             for c, column in zip(active, columns, strict=True):
-                if len(column[0]) == 2:  # raw mpc values; a raw mpf has four fields
-                    real = fsum([mul(w, re) for w, (re, _) in zip(weights, column)], wprec, rnd)
-                    imag = fsum([mul(w, im) for w, (_, im) in zip(weights, column)], wprec, rnd)
-                    step = mp.make_mpc((real, imag))
+                if isinstance(column[0][0], tuple):  # (re, im) pairs
+                    step = mp.make_mpc(tuple(
+                        _raw(_fdot(weights, [f[k] for f in column], wprec, rnd)) for k in (0, 1)))
                 else:
-                    step = mp.make_mpf(fsum([mul(w, f) for w, f in zip(weights, column)], wprec, rnd))
+                    step = mp.make_mpf(_raw(_fdot(weights, column, wprec, rnd)))
                 total = results[c][-1] / (h * 2) if results[c] else mp.mp.zero
                 total += step
                 results[c].append(h * total)
@@ -500,8 +676,8 @@ def beta_fn_quadrature(x, cfg: NumericConfig = DEFAULT_CONFIG):
 
     def values(degree, nodes, running):
         nodes = nodes()
-        return [w._mpf_ for _, w in nodes], [
-            [(u ** mp.mpf(-1.5) * mp.e ** (-x * u))._mpf_ for u, _ in nodes]]
+        return [_pair(w._mpf_) for _, w in nodes], [
+            [_pair((u ** mp.mpf(-1.5) * mp.e ** (-x * u))._mpf_) for u, _ in nodes]]
 
     with mp.workdps(cfg.dps):
         return _tanh_sinh((1, mp.inf), cfg.quad_nodes, 1, values)[0] / (16 * mp.pi)
@@ -510,7 +686,8 @@ def beta_fn_quadrature(x, cfg: NumericConfig = DEFAULT_CONFIG):
 def completion_term(mu: int, tau):
     """v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v) q^(-l^2/4); the
     nonholomorphic completion component attached to the class numbers, once
-    per memo scope (`_per_sum`)."""
+    per memo scope (`_per_sum`), and each beta value once per exact argument
+    in it, so that taus with one Im tau share them."""
     _require_point(tau)
     return _per_sum(_completion_series, mu, mp.mpc(tau))
 
@@ -522,7 +699,7 @@ def _completion_series(mu: int, tau):
     eps = mp.mpf(10) ** (-mp.mp.dps - 2)
     while not (l > 2 and mp.e ** (-mp.pi * l * l * v / 2) < eps):
         # beta(pi l^2 v) q^(-l^2/4) decays like e^(-pi l^2 v / 2)
-        term = beta_fn(mp.pi * l * l * v) * _e(-l * l / mp.mpf(4) * tau)
+        term = _per_sum(beta_fn, mp.pi * l * l * v) * _e(-l * l / mp.mpf(4) * tau)
         total += term if l == 0 else 2 * term  # +-l coincide at z = 0
         l += 2
     return total / mp.sqrt(v)
@@ -543,6 +720,51 @@ _RAY: dict = {}
 _P32 = mp.mpf(-1.5)._mpf_
 
 
+def _kernel(z, prec, rnd):
+    """z^(-3/2) for a raw mpc z = a + i b, bit for bit the tuple that
+    `mpc ** mpf` returns at (prec, rnd), on integer pairs.
+
+    It replays mpmath 1.3.0's path, one libmp rounding after another: the
+    square root (x, y) of z at prec + 10, rounded down, from |z| (the exact
+    squares added at prec + 34, their root at prec + 30), t = |z| + |a| at
+    prec + 30, sqrt(t/2) at prec + 10, w = sqrt(2t) at prec + 30 and b/w at
+    prec + 10; the exact cube of x + i y, each part rounded down at prec + 4;
+    and its reciprocal, with |cube|^2 added at prec + 10, rounded down, and
+    each part divided by it at (prec, rnd)."""
+    a, b = z
+    if rnd != "n" or b[0] or not b[1] or (not a[1] and a != libmp.fzero):
+        # libmp's own power outside the replayed domain: a rounding mode
+        # other than 'n' (the reciprocal's divisions round at rnd, and
+        # `_round` has only 'n' and the inner 'd'), b <= 0 (where the square
+        # root takes its real-axis branches or negates its parts), or an
+        # infinite or nan part
+        return libmp.mpc_pow_mpf(z, _P32, prec, rnd)
+    (am, ae), (bm, be) = _pair(a), _pair(b)
+    wp = prec + 30
+    if am:
+        root = _sqrt_down(*_add(am * am, 2 * ae, bm * bm, 2 * be, wp + 4, "d"), wp)
+        tm, te = _add(*root, abs(am), ae, wp, "d")
+    else:
+        tm, te = _round(bm, be, wp, "d")
+    # sqrt(2t) = 2 sqrt(t/2), and truncations compose: one root gives both
+    wm, we = _sqrt_down(tm, te - 1, wp)
+    half = _round(wm, we, prec + 10, "d")
+    quot = _div(bm, be, wm, we + 1, prec + 10, "d")
+    (xm, xe), (ym, ye) = (quot, half) if am < 0 else (half, quot)
+    if 3 * (abs(xe - ye) + max(xm.bit_length(), ym.bit_length())) >= 10000:
+        # libmp cubes by exp and log once the exact cube's size reaches 10,000
+        return libmp.mpc_pow_mpf(z, _P32, prec, rnd)
+    if xe > ye:
+        xm, xe = xm << xe - ye, ye
+    else:
+        ym <<= ye - xe
+    x2, y2 = xm * xm, ym * ym
+    crm, cre = _round(xm * (x2 - 3 * y2), 3 * xe, prec + 4, "d")
+    cim, cie = _round(ym * (3 * x2 - y2), 3 * xe, prec + 4, "d")
+    mm, me = _add(crm * crm, 2 * cre, cim * cim, 2 * cie, prec + 10, "d")
+    return _raw(_div(crm, cre, mm, me, prec, rnd)), _raw(_div(-cim, cie, mm, me, prec, rnd))
+
+
 def _ray_table(piece: str, degree: int, prec: int, nodes):
     """One row (s, w, F_0, F_1) of raw mpf values per node (x, w) of the
     piece's tanh-sinh rule at this degree and precision, listed by nodes():
@@ -554,7 +776,10 @@ def _ray_table(piece: str, degree: int, prec: int, nodes):
     * lower, on [0, 1]: s = u^2 (u = x) and F_mu = theta_0(i/(4u^2), mu/4)
       = (2u^2)^(1/2) theta_mu(i u^2, 0), the theta inversion.
 
-    Built at the quadrature's working precision prec + 20 (the active one)."""
+    Every row is one `_theta_sums` call on its axis branch: tau on the
+    imaginary axis and z = 0 or 1/4, so the recurrences run on real parts,
+    and the lower row's two theta_0 share one sequence of terms.  Built at
+    the quadrature's working precision prec + 20 (the active one)."""
     key = (piece, degree, prec)
     if key not in _RAY:
         rows = []
@@ -575,8 +800,9 @@ def _ray_integrals(piece: str, tau, maxdegree: int):
     """[mp.quad(lambda s: (tau + i s)^(-3/2) F_mu(s), piece, maxdegree=
     maxdegree) for mu in (0, 1)] bit for bit, with F_mu the factors of
     `_ray_table` (s = u^2 on the lower piece), from one `_tanh_sinh` walk.
-    Each kernel power is taken once per node for both mu, by the call
-    `mpc ** mpf` makes, and multiplied by F_mu as `mpc * mpf` rounds it."""
+    Each kernel power is taken once per node for both mu, by `_kernel`, with
+    the bits of `mpc ** mpf`, and multiplied by F_mu as `mpc * mpf` rounds
+    it."""
     prec = mp.mp.prec
     tre, tim = tau._mpc_
 
@@ -587,10 +813,14 @@ def _ray_integrals(piece: str, tau, maxdegree: int):
         rows = _ray_table(piece, degree, prec, nodes)
         columns = [[] for _ in running]
         for row in rows:
-            kernel = libmp.mpc_pow_mpf((re, libmp.mpf_add(tim, row[0], wprec, rnd)), _P32, wprec, rnd)
+            kernel = _kernel((re, libmp.mpf_add(tim, row[0], wprec, rnd)), wprec, rnd)
+            (km, ke), (lm, le) = map(_pair, kernel)
             for column, mu in zip(columns, running):
-                column.append(libmp.mpc_mul_mpf(kernel, row[2 + mu], wprec, rnd))
-        return [row[1] for row in rows], columns
+                # the kernel times F_mu as `mpc_mul_mpf` rounds it
+                fm, fe = _pair(row[2 + mu])
+                column.append((_round(km * fm, ke + fe, wprec, rnd),
+                               _round(lm * fm, le + fe, wprec, rnd)))
+        return [_pair(row[1]) for row in rows], columns
 
     return _tanh_sinh(_PIECES[piece], maxdegree, 2, values)
 
@@ -635,17 +865,19 @@ def _eichler_integrals(tau, degree: int):
     """int_0^inf (i (2v + s))^(-3/2) (theta_mu(-u + i (v + s), 0) - delta_mu0) ds
     at tau = u + i v for mu = 0 and 1, each `mp.quad`'s bit for bit, from one
     `_tanh_sinh` walk: a node takes both theta_mu from one `theta_pair` and
-    the kernel power once."""
+    the kernel power once, by `_kernel`."""
     u, v = mp.re(tau), mp.im(tau)
 
     def values(degree, nodes, running):
+        wprec, rnd = mp.mp._prec_rounding
         weights, kernels, factors = [], [], []
         for s, w in nodes():
-            weights.append(w._mpf_)
-            kernels.append((1j * (2 * v + s)) ** mp.mpf(-1.5))
+            weights.append(_pair(w._mpf_))
+            kernels.append(mp.make_mpc(_kernel((libmp.fzero, (2 * v + s)._mpf_), wprec, rnd)))
             theta0, theta1 = theta_pair(mp.mpc(-u, v + s), 0)
             factors.append((theta0 - 1, theta1))
-        return weights, [[(k * f[mu])._mpc_ for k, f in zip(kernels, factors)] for mu in running]
+        return weights, [[tuple(map(_pair, (k * f[mu])._mpc_)) for k, f in zip(kernels, factors)]
+                         for mu in running]
 
     return _tanh_sinh((0, mp.inf), degree, 2, values)
 
@@ -803,7 +1035,8 @@ def period_relation_negative_control(cfg: NumericConfig = DEFAULT_CONFIG) -> flo
 def check_tildeT_action(p: int = 2, cfg: NumericConfig = DEFAULT_CONFIG,
                         points=(EvalPoint(complex(0, 1), complex(0.1, 0.1)),
                                 EvalPoint(complex(0, 1.5), 0j))) -> dict:
-    """Relative error of p^(-2) P|tilde(p) against (p+1) P at two points.
+    """Relative error of p^(-2) P|tilde(p) against sigma_1(p) P at two points,
+    for every level p >= 1 (sigma_1(p) = p + 1 at a prime).
 
     P is the closed form `period_value` = 12 (R'|T - R'), so the check asks
     that the completion R' be an eigenfunction of the transfer element
@@ -816,7 +1049,7 @@ def check_tildeT_action(p: int = 2, cfg: NumericConfig = DEFAULT_CONFIG,
 
         def rel_error(tau, z):
             ref = P(tau, z)
-            return abs(acted(tau, z) / p**2 - (p + 1) * ref) / abs(ref)
+            return abs(acted(tau, z) / p**2 - sigma(p, 1) * ref) / abs(ref)
 
         return {"check": "transfer_action", "p": p, "points": len(points),
                 "max_rel_error": _worst(points, rel_error)}
@@ -970,7 +1203,7 @@ def v_sum_value(n: int, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
 
 class Check(NamedTuple):
     """`run(cfg, level)` returns the report, which passes when `report[key] <
-    gate`; `level` is the transfer check's prime (None: 2) and theorem1's n."""
+    gate`; `level` is the transfer check's level (None: 2) and theorem1's n."""
     run: Callable
     key: str
     gate: float

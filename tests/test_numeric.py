@@ -725,6 +725,126 @@ def test_no_check_calls_mp_quad(monkeypatch):
         assert numeric._SUM_MEMO.get() is None
 
 
+def test_integer_pairs_round_as_libmp():
+    # the integer pairs of `_theta_sums`, `_kernel` and `_tanh_sinh` give the
+    # values of the libmp calls they stand for, at both rounding modes:
+    # normalize, mpf_add (with its shortcut for far-apart terms), mpf_mul,
+    # mpf_div, mpf_sqrt, mpc_mul and the walk's sum of exact products, on
+    # operands as wide as exact products and exponents far apart
+    rng = random.Random(41)
+    pair, raw = numeric._pair, numeric._raw
+
+    def value(prec):
+        man = rng.getrandbits(rng.randint(1, 2 * prec)) * rng.choice((1, -1))
+        return libmp.from_man_exp(man, rng.randint(-300, 300))
+
+    libmp = mp.libmp
+    for _ in range(3000):
+        prec, rnd = rng.choice((53, 120, 220)), rng.choice("nd")
+        s, t = value(prec), value(prec)
+        man, exp = rng.getrandbits(3 * prec) - (1 << (3 * prec - 1)), rng.randint(-99, 99)
+        assert raw(numeric._round(man, exp, prec, rnd)) == libmp.from_man_exp(man, exp, prec, rnd)
+        assert raw(numeric._add(*pair(s), *pair(t), prec, rnd)) == libmp.mpf_add(s, t, prec, rnd)
+        assert raw(numeric._round(pair(s)[0] * pair(t)[0], s[2] + t[2], prec, rnd)) == \
+            libmp.mpf_mul(s, t, prec, rnd)
+        if t[1] and not t[0]:
+            assert raw(numeric._div(*pair(s), *pair(t), prec, rnd)) == libmp.mpf_div(s, t, prec, rnd)
+            assert raw(numeric._sqrt_down(*pair(t), prec)) == libmp.mpf_sqrt(t, prec, "d")
+        z, w = (value(prec), value(prec)), (value(prec), value(prec))
+        product = numeric._cmul((pair(z[0]), pair(z[1])), (pair(w[0]), pair(w[1])), prec, rnd)
+        assert tuple(map(raw, product)) == libmp.mpc_mul(z, w, prec, rnd)
+        ws = [value(prec) for _ in range(rng.randint(1, 6))]
+        fs = [value(prec) if rng.random() < 0.9 else libmp.fzero for _ in ws]
+        want = libmp.mpf_sum([libmp.mpf_mul(w, f) for w, f in zip(ws, fs)], prec, rnd)
+        assert raw(numeric._fdot(list(map(pair, ws)), list(map(pair, fs)), prec, rnd)) == want
+    # the shortcuts are libmp's even where they do not round the exact sum.
+    # mpf_add: a wide term 1 unit above a midpoint, less a term 2^top bits
+    # below its top, taken as a sticky unit from prec + 5 bits below on
+    prec, wide = 53, ((1 << 52 | 12345) << 67) | (1 << 66) | 1
+    s = libmp.from_man_exp(wide, 0)
+    for top, shortcut in ((11, True), (62, True), (63, False)):
+        t = libmp.from_man_exp(-((1 << top + 100) + 1), -101)
+        exact = libmp.from_man_exp(wide * 2**101 - (1 << top + 100) - 1, -101, prec, "n")
+        assert (libmp.mpf_add(s, t, prec, "n") != exact) is shortcut
+        assert raw(numeric._add(*pair(s), *pair(t), prec, "n")) == libmp.mpf_add(s, t, prec, "n")
+    # mpf_sum: a product more than 2 prec bits from the running sum, after
+    # or before it, is dropped
+    one, tiny = libmp.fone, libmp.from_man_exp(-1, -120)
+    for fs in ((one, tiny), (tiny, one)):
+        want = libmp.mpf_sum([libmp.mpf_mul(one, f) for f in fs], prec, "d")
+        assert want == one != libmp.mpf_add(one, tiny, prec, "d")
+        assert raw(numeric._fdot([pair(one)] * 2, list(map(pair, fs)), prec, "d")) == want
+
+
+def _libmp_power_calls(monkeypatch):
+    """Wrap mpmath's libmp.mpc_pow_mpf, which the kernel calls only to fall
+    back, so that each call appends its arguments to the returned list."""
+    power, calls = mp.libmp.mpc_pow_mpf, []
+
+    def counting(*args):
+        calls.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(mp.libmp, "mpc_pow_mpf", counting)
+    return power, calls
+
+
+@pytest.mark.parametrize("dps", [15, 30, 45, 60])
+def test_kernel_equals_the_libmp_power(monkeypatch, dps):
+    # the integer kernel gives the tuple of libmp's z^(-3/2) bit for bit on a
+    # grid of Re tau < 0, = 0 and > 0 and Im from 1e-2 to 1e34, at the walk
+    # precision as well, without falling back
+    power, calls = _libmp_power_calls(monkeypatch)
+    p32 = mp.mpf(-1.5)._mpf_
+    with mp.workdps(dps):
+        for prec in (mp.mp.prec, mp.mp.prec + 20):
+            for re in ("-3.7", "-0.5", "-1e-9", 0, "1e-9", "0.3", "2.9"):
+                for e in range(-2, 35):
+                    for im in (mp.mpf(10) ** e, mp.mpf("1.37") * mp.mpf(10) ** e):
+                        z = (mp.mpf(re)._mpf_, im._mpf_)
+                        assert numeric._kernel(z, prec, "n") == power(z, p32, prec, "n"), (z, prec)
+    assert not calls
+
+
+def test_kernel_falls_back_outside_its_domain(monkeypatch):
+    # each case outside the replayed path is libmp's own power, called once:
+    # b = 0 on either side of the real axis, b < 0, another rounding mode,
+    # an infinite part, and a cube whose exact size reaches 10,000 (at
+    # 10,308); just below that size (9,906) the replay still holds
+    power, calls = _libmp_power_calls(monkeypatch)
+    p32 = mp.mpf(-1.5)._mpf_
+    raw = lambda x: mp.mpf(x)._mpf_
+    with mp.workdps(30):
+        prec = mp.mp.prec
+        falling = [((raw("0.3"), raw(0)), "n"), ((raw("-0.3"), raw(0)), "n"),
+                   ((raw("0.3"), raw("-1.1")), "n"), ((raw("-0.3"), raw("-1.1")), "n"),
+                   ((raw("0.3"), raw("1.1")), "d"), ((raw("-0.3"), raw("1.1")), "f"),
+                   ((raw("0.3"), raw("1.1")), "u"), ((raw(mp.inf), raw("1.1")), "n"),
+                   ((raw("-1e500"), raw("1e-500")), "n")]
+        for z, rnd in falling:
+            calls.clear()
+            assert numeric._kernel(z, prec, rnd) == power(z, p32, prec, rnd), (z, rnd)
+            assert len(calls) == 1, (z, rnd)
+        calls.clear()
+        z = (raw("-1e480"), raw("1e-480"))
+        assert numeric._kernel(z, prec, "n") == power(z, p32, prec, "n")
+        assert not calls
+
+
+def test_no_quadrature_calls_the_libmp_power(monkeypatch):
+    # every kernel power of the period and Eichler walks is the integer
+    # kernel's own, cold tables included
+    def no_power(*args):
+        raise AssertionError("mpc_pow_mpf called")
+
+    monkeypatch.setattr(mp.libmp, "mpc_pow_mpf", no_power)
+    monkeypatch.setattr(numeric, "_RAY", {})
+    for pt in DEFAULT_POINTS:
+        period_quadrature(pt.tau, pt.z, CFG)
+    check = CHECKS["eichler"]
+    assert check.run(CFG, None)[check.key] < check.gate
+
+
 def test_theta_pair_equals_both_components():
     # one call gives both components: each equals the term-by-term sum as
     # `theta_value` does, and `theta_value` itself bit for bit
@@ -754,6 +874,108 @@ def test_theta_pair_equals_both_components():
         with mp.workdps(60):
             for mu, (want, size) in enumerate(ref):
                 assert abs(pair[mu] - want) < 1e-30 * size, (tau, z, mu)
+
+
+def _theta_sums_complex(tau, groups):
+    """The complex recurrence of `_theta_sums` with no axis branch: every
+    term, zeta power and sum an mpc.  The oracle of the axis branch."""
+    tau = mp.mpc(tau)
+    v = mp.im(tau)
+    groups = [(mp.mpc(z), mus) for z, mus in groups]
+    rmaxes = [int(2 * (y + mp.sqrt(y * y + v * numeric._kexp(mp.mp.prec))) / v) + 2
+              for y in (abs(mp.im(z)) for z, _ in groups)]
+    sums = []
+    with mp.workdps(mp.mp.dps + numeric._GUARD_DPS):
+        q4 = numeric._e(tau / 4)
+        q = q4**4
+        q2 = q * q
+        for (z, mus), rmax in zip(groups, rmaxes):
+            zeta = numeric._e(z)
+            inv = 1 / zeta
+            zeta2, inv2 = zeta * zeta, inv * inv
+            for mu in mus:
+                term, step, up, down = q4 ** (mu * mu), q ** (mu + 1), zeta**mu, inv**mu
+                total = term * (up + down) if mu else term
+                for _ in range(mu + 2, rmax + 1, 2):
+                    term *= step
+                    step *= q2
+                    up *= zeta2
+                    down *= inv2
+                    total += term * (up + down)
+                sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("dps", [30, 45, 60])
+def test_axis_theta_branch_equals_the_complex_recurrence(monkeypatch, dps):
+    # every theta sum of a ray row, degrees 1 to 7, takes the axis branch:
+    # one exponential e(tau/4) and none for zeta; each equals the complex
+    # recurrence bit for bit, and so does the theta pair at (2i, 1/4)
+    theta_sums, exps, calls = numeric._theta_sums, [], []
+    expjpi = mp.libmp.mpc_expjpi
+    monkeypatch.setattr(mp.libmp, "mpc_expjpi", lambda *args: exps.append(args) or expjpi(*args))
+
+    def recording(tau, groups):
+        seen = len(exps)
+        sums = theta_sums(tau, groups)
+        calls.append((tau, groups, sums, len(exps) - seen))
+        return sums
+
+    monkeypatch.setattr(numeric, "_theta_sums", recording)
+    monkeypatch.setattr(numeric, "_RAY", {})
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        with mp.workprec(prec + 20):
+            for piece, interval in numeric._PIECES.items():
+                for degree in range(1, 8):
+                    nodes = lambda: mp.mp._tanh_sinh.get_nodes(*interval, degree, prec)
+                    calls.clear()
+                    numeric._ray_table(piece, degree, prec, nodes)
+                    assert len(calls) == len(nodes()), (piece, degree)
+                    for tau, groups, sums, taken in calls:
+                        assert taken == 1, (piece, degree, tau)
+                        want = _theta_sums_complex(tau, groups)
+                        assert [v._mpc_ for v in sums] == [v._mpc_ for v in want], (piece, tau)
+        calls.clear()
+        pair = numeric.theta_pair(DEFAULT_POINTS[2].tau, DEFAULT_POINTS[2].z)
+        assert calls[0][3] == 1
+        want = _theta_sums_complex(DEFAULT_POINTS[2].tau, [(DEFAULT_POINTS[2].z, (0, 1))])
+        assert [v._mpc_ for v in pair] == [v._mpc_ for v in want]
+
+
+def test_theta_sums_equal_the_complex_recurrence_off_the_axis():
+    # off the axis branch the recurrence runs on raw mpc tuples, with the
+    # calls of the mpc operators: bit for bit the complex recurrence
+    rng = random.Random(29)
+    points = [(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3)),
+               complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))) for _ in range(8)]
+    points += [(1j, complex(0.1, 0.2)), (2j, 0.3), (complex(0.3, 1.1), 0), (complex(0.3, 1.1), 0.25)]
+    for dps in (30, 45):
+        with mp.workdps(dps):
+            for tau, z in points:
+                groups = [(z, (0, 1)), (0, (0,)), (mp.mpf(1) / 4, (1, 0))]
+                got = numeric._theta_sums(tau, groups)
+                assert [v._mpc_ for v in got] == [v._mpc_ for v in _theta_sums_complex(tau, groups)]
+
+
+def test_slash_sum_takes_each_beta_once(monkeypatch):
+    # the images of a slash sum that share Im tau share their beta
+    # arguments: inside the sum's scope each distinct argument is evaluated
+    # once, and the sum is bit-identical to its terms evaluated one by one
+    # with no memo, which repeat them
+    args = []
+    _counting(monkeypatch, "beta_fn", args)
+    R = numeric._completion_value
+    terms = tilde_T(2).sorted_terms()
+    with mp.workdps(CFG.dps):
+        tau, z = mp.mpc(0.1, 1.1), mp.mpc(0.2, 0.05)
+        total = slash_formal_sum(R, tilde_T(2), 2, 1)(tau, z)
+        assert len(args) == len(set(args))
+        memoized = list(args)
+        args.clear()
+        one_by_one = pairwise_sum(c * numeric.slash_ring_term(R, e, 2, 1)(tau, z) for e, c in terms)
+        assert total._mpc_ == one_by_one._mpc_
+        assert set(args) == set(memoized) and len(args) > len(memoized)
 
 
 def test_slash_sum_computes_each_completion_once_per_image(monkeypatch):
@@ -886,6 +1108,14 @@ def test_tildeT_action_single_point():
 
 def test_tildeT_action_p3():
     report = check_tildeT_action(3, CFG)
+    assert report["max_rel_error"] < CHECKS["transfer"].gate, report
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_tildeT_action_off_the_primes(n):
+    # the eigenvalue is sigma_1(n), which is p + 1 only at a prime: 1 at
+    # n = 1 and 7 at n = 4
+    report = check_tildeT_action(n, CFG, points=(EvalPoint(1j, complex(0.1, 0.1)),))
     assert report["max_rel_error"] < CHECKS["transfer"].gate, report
 
 
