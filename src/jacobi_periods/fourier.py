@@ -57,8 +57,11 @@ class _Expansion:
     def __post_init__(self):
         """Adopts the `coeffs` dict given and normalizes it in place (zero values
         dropped, the others made `_exact`), so no copy of it is held.  One pass
-        finds the values that are zero or not an int; only those are touched."""
-        self.qbound = _num(self.qbound)
+        finds the values that are zero or not an int; only those are touched.
+        A scale that is not a positive int, or a negative qbound, is refused."""
+        if not isinstance(self.scale, int) or self.scale < 1:
+            raise DomainError(f"scale must be a positive int, got {self.scale!r}")
+        self.qbound = _bound(self.qbound)
         coeffs = self.coeffs
         for key, c in [(key, c) for key, c in coeffs.items() if type(c) is not int or not c]:
             c = _exact(c)
@@ -159,7 +162,7 @@ class JacobiExpansion(_Expansion):
         allowed, and zero at D = 1, 2 mod 4, which no key reaches) for every
         D < 4 ceil(qbound) - 3."""
         f = cls.__new__(cls)
-        f.weight, f.index, f.scale, f.qbound = _num(weight), Fraction(1), 1, _num(qbound)
+        f.weight, f.index, f.scale, f.qbound = _num(weight), Fraction(1), 1, _bound(qbound)
         f._table = table
         return f
 

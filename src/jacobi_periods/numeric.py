@@ -76,6 +76,15 @@ tau-only factor (c_mu, h_mu, the period and the Eichler integrals) is
 computed once per exact tau and precision inside a `_memo_scope`: one per
 evaluation of a slash sum, and one per quadrature-backed check; each beta
 value of the completion series once per exact argument.
+
+Two memos of series evaluation outlive a scope, and neither changes a
+bit.  An expansion keeps its evaluation forms (`_form_of`): the point-free
+part of `eval_expansion`, per precision, in a private attribute that goes
+with the expansion, beside a shallow snapshot of coeffs, scale, qbound and
+index; an evaluation that finds any of them changed rebuilds the form.
+`_h_mu_value` reads its series from `_h_mu_series`, one instance per
+(mu, qbound) among the 16 most recently used, so every h_mu evaluation at
+one truncation reuses one form.
 """
 
 from __future__ import annotations
@@ -85,7 +94,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
 import mpmath as mp
@@ -219,6 +228,76 @@ def _raw_coefficient(c, prec, rnd):
     return (mp.mpf(c.numerator) / c.denominator)._mpf_
 
 
+class _Form(NamedTuple):
+    """The point-free part of an expansion's evaluation at one (prec, rnd):
+    the distinct (r, raw c) pairs, one (gap to the previous row, slots into
+    the pairs) per row in exponent order, the span of r and the raw tail
+    constant cmax."""
+    pairs: list
+    rows: list
+    rlo: int
+    rhi: int
+    cmax: tuple
+
+
+def _build_form(coeffs, scale, prec, rnd) -> _Form:
+    """The `_Form` of {(ns, r): c} at (prec, rnd).  A row's tail constant is
+    |top| / (ns/scale + 1)^2, over a float, read from its largest exact |c|:
+    rounding once is monotone and symmetric, so that converts to the largest
+    rounded |c|.  A `Fraction` whose numerator is wider than the precision is
+    rounded twice, which is not monotone, so with one of those the rounded
+    values are compared."""
+    rows: dict[int, list] = {}
+    for (ns, r), c in sorted(coeffs.items()):
+        rows.setdefault(ns, []).append((r, c))
+    raw = {c: _raw_coefficient(c, prec, rnd) for c in set(coeffs.values())}
+    if all(isinstance(c, int) or c.numerator.bit_length() <= prec for c in raw):
+        size = abs
+    else:
+        size = lambda c: abs(mp.make_mpf(raw[c]))
+    slot_of, pairs, layout, cmax, at = {}, [], [], libmp.fone, 0
+    for ns, row in rows.items():
+        top = max((c for _, c in row), key=size)
+        weighted = libmp.mpf_div(libmp.mpf_abs(raw[top], prec, rnd),
+                                 libmp.from_float((ns / scale + 1) ** 2), prec, rnd)
+        if libmp.mpf_gt(weighted, cmax):
+            cmax = weighted
+        for r, c in row:
+            if (r, c) not in slot_of:
+                slot_of[r, c] = len(pairs)
+                pairs.append((r, raw[c]))
+        layout.append((ns - at, [slot_of[r, c] for r, c in row]))
+        at = ns
+    rs = [r for r, _ in pairs]
+    return _Form(pairs, layout, min(rs, default=0), max(rs, default=0), cmax)
+
+
+def _form_of(f, prec, rnd):
+    """(index, `_Form` of f at (prec, rnd)), built once per expansion and
+    precision.  The forms live in the private attribute `_evaluation_forms`
+    of f, so they go with it, beside a shallow snapshot of the fields they
+    are built from (coeffs, scale, qbound, index); a form is used only while
+    one comparison finds f's fields equal to the snapshot, and a change to
+    any of them drops every form of f."""
+    if isinstance(f, JacobiExpansion):
+        m = f.index
+    elif isinstance(f, QSeries):
+        m = 0
+    else:
+        raise DomainError("unsupported expansion type")
+    state = (f.coeffs, f.scale, f.qbound, m)
+    memo = f.__dict__.get("_evaluation_forms")
+    if memo is None or memo[0] != state:
+        memo = f._evaluation_forms = ((dict(f.coeffs), f.scale, f.qbound, m), {})
+    forms = memo[1]
+    if (prec, rnd) not in forms:
+        coeffs = f.coeffs
+        if isinstance(f, QSeries):  # the key ns read as (ns, 0)
+            coeffs = {(ns, 0): c for ns, c in coeffs.items()}
+        forms[prec, rnd] = _build_form(coeffs, f.scale, prec, rnd)
+    return m, forms[prec, rnd]
+
+
 def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     """Evaluate a truncated expansion at (tau, z); returns (value, tail_bound)
     with `_tail_bound`'s bound on the truncation error of the stored partial
@@ -229,52 +308,34 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     zeta^r from one power table of e(z), and the rows are weighted by integer
     powers of e(tau/scale), so no term costs an exponential.  The loop runs
     on mpmath's raw tuples with the calls that the mpc operators make, so
-    every bit is theirs: each distinct coefficient is converted once, each
-    term is one `mpc_mul_mpf`, each distinct gap between rows takes its power
-    of e(tau/scale) once, and rows and the terms inside each row are reduced
-    by the tree of `pairwise_sum`.  A row's tail constant is read
-    from its largest exact |c|: rounding once is monotone and symmetric, so
-    that converts to the largest rounded |c|.  A `Fraction` whose numerator
-    is wider than the precision is rounded twice, which is not monotone, so
-    with one of those the rounded values are compared."""
-    if isinstance(f, JacobiExpansion):
-        m, coeffs = f.index, f.coeffs
-    elif isinstance(f, QSeries):  # index 0, with the key ns read as (ns, 0)
-        m, coeffs = 0, {(ns, 0): c for ns, c in f.coeffs.items()}
-    else:
-        raise DomainError("unsupported expansion type")
+    every bit is theirs: each distinct (r, c) pair is one `mpc_mul_mpf`,
+    each distinct gap between rows takes its power of e(tau/scale) once, and
+    rows and the terms inside each row are reduced by the tree of
+    `pairwise_sum`.
+
+    What does not depend on the point (the rows sorted by exponent, the
+    coefficients converted at the working precision, the distinct (r, c)
+    pairs and the tail constant, `_build_form`) is built once per expansion
+    and precision and kept with the expansion (`_form_of`); a later
+    evaluation checks that coeffs, scale, qbound and index are unchanged
+    and reuses it, so a mutated expansion is rebuilt, never read stale."""
     with mp.workdps(cfg.dps):
         prec, rnd = mp.mp._prec_rounding
+        m, form = _form_of(f, prec, rnd)
         tau, z = mp.mpc(point.tau), mp.mpc(point.z)
-        rows: dict[int, list] = {}
-        for (ns, r), c in sorted(coeffs.items()):
-            rows.setdefault(ns, []).append((r, c))
-        rs = [r for row in rows.values() for r, _ in row]
-        zeta = {e: v._mpc_ for e, v in
-                _powers(_e(z), min(rs, default=0), max(rs, default=0)).items()}
+        zeta = {e: v._mpc_ for e, v in _powers(_e(z), form.rlo, form.rhi).items()}
         base = _e(tau / f.scale)._mpc_
-        raw = {c: _raw_coefficient(c, prec, rnd) for c in set(coeffs.values())}
-        if all(isinstance(c, int) or c.numerator.bit_length() <= prec for c in raw):
-            size = abs
-        else:
-            size = lambda c: abs(mp.make_mpf(raw[c]))
-        mul, cmax, qpow, at, parts = libmp.mpc_mul_mpf, libmp.fone, libmp.mpc_one, 0, []
+        mul, cmul, qpow, parts = libmp.mpc_mul_mpf, libmp.mpc_mul, libmp.mpc_one, []
+        products = [mul(zeta[r], c, prec, rnd) for r, c in form.pairs]
         steps = {}  # e(tau/scale)^gap, once per gap between rows
-        for ns, row in rows.items():
-            # the row's tail constant |top| / (ns/scale + 1)^2, over a float
-            top = max((c for _, c in row), key=size)
-            weighted = libmp.mpf_div(libmp.mpf_abs(raw[top], prec, rnd),
-                                     libmp.from_float((ns / f.scale + 1) ** 2), prec, rnd)
-            if libmp.mpf_gt(weighted, cmax):
-                cmax = weighted
-            gap, at = ns - at, ns
+        for gap, slots in form.rows:
             if gap not in steps:
                 steps[gap] = libmp.mpc_pow_int(base, gap, prec, rnd)
-            qpow = libmp.mpc_mul(qpow, steps[gap], prec, rnd)
-            terms = [mul(zeta[r], raw[c], prec, rnd) for r, c in row]
-            parts.append(libmp.mpc_mul(qpow, _pairwise(terms, prec, rnd), prec, rnd))
+            qpow = cmul(qpow, steps[gap], prec, rnd)
+            terms = [products[i] for i in slots]
+            parts.append(cmul(qpow, _pairwise(terms, prec, rnd), prec, rnd))
         value = mp.make_mpc(_pairwise(parts, prec, rnd))
-        bound = _tail_bound(m, f.scale, f.qbound, tau, z, mp.make_mpf(cmax))
+        bound = _tail_bound(m, f.scale, f.qbound, tau, z, mp.make_mpf(form.cmax))
         if bound > cfg.tol:
             extra = float(mp.log(bound / mp.mpf(cfg.tol)) / (2 * mp.pi * mp.im(tau)))
             raise PrecisionError(
@@ -905,14 +966,22 @@ def eichler_theta_integral(mu: int, tau, cfg: NumericConfig = DEFAULT_CONFIG):
 
 def _h_mu_value(mu: int, tau, cfg):
     """The class-number component h_mu(tau), truncated where q^Q drops below
-    10^-(dps+3), and never below cfg.qmax; once per memo scope (`_per_sum`)."""
+    10^-(dps+3), and never below cfg.qmax; once per memo scope (`_per_sum`),
+    from the series of the memo `_h_mu_series`."""
     return _per_sum(_h_mu_series_value, mu, mp.mpc(tau), cfg)
+
+
+@lru_cache(maxsize=16)
+def _h_mu_series(mu: int, qbound: int):
+    """h_mu_series(mu, qbound), one instance per (mu, qbound) among the 16
+    most recently used, so its evaluation forms serve every tau."""
+    return h_mu_series(mu, qbound)
 
 
 def _h_mu_series_value(mu: int, tau, cfg):
     v = mp.im(tau)
     qbound = max(cfg.qmax, int(mp.ceil((cfg.dps + 3) * mp.log(10) / (2 * mp.pi * v))))
-    return eval_expansion(h_mu_series(mu, qbound), EvalPoint(tau), cfg)[0]
+    return eval_expansion(_h_mu_series(mu, qbound), EvalPoint(tau), cfg)[0]
 
 
 def _theta_decomposition(tau, z, component):

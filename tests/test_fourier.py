@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil, gcd, isqrt
+from pathlib import Path
 
 import pytest
 import sympy
@@ -230,6 +234,40 @@ def test_phi_lift_to_weight_two():
     # n = 1 coefficient with D = -4: -(24 / (1/2)) * H(4) = -24
     lifted = phi_lift(h32_series(20), -4)
     assert lifted.coeff(1) == -24
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QSeries(0, {0: 1}, 1),
+    lambda: QSeries(-4, {0: 1, 4: 2}, 1),
+    lambda: QSeries(2.5, {0: 1}, 1),
+    lambda: JacobiExpansion(2, 1, 0, {(0, 0): 1}, 1),
+    lambda: QSeries(4, {0: 1}, -1),
+    lambda: JacobiExpansion(2, 1, 1, {(0, 0): 1}, Fraction(-1, 2)),
+    lambda: JacobiExpansion._of_discriminant(2, [-1], -1),
+], ids=["QSeries_scale_0", "QSeries_scale_-4", "QSeries_scale_2.5", "Jacobi_scale_0",
+        "QSeries_qbound_-1", "Jacobi_qbound_-1/2", "table_qbound_-1"])
+def test_expansions_refuse_a_bad_scale_or_qbound(make):
+    # each of these once constructed and failed only when evaluated
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_exact_layers_never_import_mpmath():
+    # the exact benchmark and CLI paths run without the numeric layer
+    code = "\n".join([
+        "import sys",
+        "import jacobi_periods",
+        "from jacobi_periods import arith, fourier, group_ring",
+        "fourier.apply_T_jacobi(fourier.e21_expansion(20), 2)",
+        "group_ring.check_theorem_congruence(6)",
+        "arith.ClassNumberTable.build(1000)",
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'mpmath'))",
+    ])
+    src = str(Path(fourier.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_phi_lift_domain_errors():

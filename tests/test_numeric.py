@@ -1,4 +1,5 @@
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from math import isnan, isqrt
@@ -420,6 +421,86 @@ def test_eval_expansion_refuses_as_the_object_loop(dps, f, point):
     with pytest.raises(PrecisionError) as got:
         eval_expansion(f, point, cfg)
     assert got.value.required_qbound == want.value.required_qbound
+
+
+def _mutable_expansions():
+    """Expansions to change after a first evaluation, each with a key it
+    lacks: E as a table (its dict built by the evaluation) and as a dict,
+    and a class-number series."""
+    e = e21_expansion(12)
+    return {"E_table": (e21_expansion(12), (3, 5)),
+            "E_dict": (JacobiExpansion(2, 1, 1, dict(e.coeffs), e.qbound), (3, 5)),
+            "h_0": (h_mu_series(0, 20), 1)}
+
+
+_CHANGES = {
+    "change_coefficient": lambda f, new: f.coeffs.update({sorted(f.coeffs)[1]: 7}),
+    "add_key": lambda f, new: f.coeffs.update({new: 5}),
+    "remove_key": lambda f, new: f.coeffs.pop(min(f.coeffs)),
+    "rebind_qbound": lambda f, new: setattr(f, "qbound", f.qbound - 9),
+    "rebind_coeffs": lambda f, new: setattr(f, "coeffs", {k: 2 * c for k, c in f.coeffs.items()}),
+    "rebind_scale": lambda f, new: setattr(f, "scale", 2 * f.scale),
+}
+
+
+def _fresh(f):
+    """A new expansion with f's fields and a copy of its terms, which no
+    evaluation has seen."""
+    return replace(f, coeffs=dict(f.coeffs))
+
+
+@pytest.mark.parametrize("change", list(_CHANGES))
+@pytest.mark.parametrize("name", list(_mutable_expansions()))
+def test_a_changed_expansion_is_evaluated_afresh(name, change):
+    f, new = _mutable_expansions()[name]
+    pt = ORACLE_POINTS[0]
+    before = _outcome(eval_expansion, f, pt, CFG)
+    _CHANGES[change](f, new)
+    after = _outcome(eval_expansion, f, pt, CFG)
+    assert after == _outcome(eval_expansion, _fresh(f), pt, CFG)
+    assert after != before
+
+
+def test_each_precision_keeps_its_own_form():
+    f = apply_V(e21_expansion(20), 2)
+    for dps in (30, 45, 30, 60, 45):
+        cfg = replace(CFG, dps=dps)
+        for pt in ORACLE_POINTS[:2]:
+            assert _outcome(eval_expansion, f, pt, cfg) == _outcome(eval_expansion, _fresh(f), pt, cfg)
+
+
+def test_evaluation_forms_go_with_their_expansion():
+    f = apply_V(e21_expansion(20), 2)
+    eval_expansion(f, ORACLE_POINTS[0], CFG)
+    eval_expansion(f, ORACLE_POINTS[0], replace(CFG, dps=45))
+    gone = weakref.ref(f)
+    del f
+    assert gone() is None  # freed by its reference count: no cycle, no global entry
+
+
+def test_a_second_evaluation_converts_nothing_and_multiplies_each_pair_once(monkeypatch):
+    f = e21_expansion(48)
+    converted, products = [], []
+    _counting(monkeypatch, "_raw_coefficient", converted)
+    mul = numeric.libmp.mpc_mul_mpf
+    monkeypatch.setattr(numeric.libmp, "mpc_mul_mpf", lambda *args: products.append(args) or mul(*args))
+    pairs = {(r, c) for (_, r), c in f.coeffs.items()}
+    assert (len(f.coeffs), len(pairs)) == (876, 325)
+    eval_expansion(f, ORACLE_POINTS[0], CFG)
+    assert len(converted) == len(set(f.coeffs.values())) and len(products) == 325
+    converted.clear()
+    products.clear()
+    eval_expansion(f, ORACLE_POINTS[1], CFG)
+    assert converted == [] and len(products) == 325
+
+
+def test_e21_value_builds_each_h_mu_series_once_per_qbound(monkeypatch):
+    built = []
+    _counting(monkeypatch, "h_mu_series", built)
+    numeric._h_mu_series.cache_clear()
+    for tau in (1j, complex(0.3, 1.2), complex(-0.2, 1.7)):  # Im tau >= 1: qbound = qmax
+        e21_value(tau, 0.1, CFG)
+    assert sorted(built) == [(0, CFG.qmax), (1, CFG.qmax)]
 
 
 def test_slash_identity_and_z_translation():
