@@ -25,7 +25,11 @@ from .errors import DomainError
 
 
 def _num(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; DomainError unless x is a finite number."""
+    try:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"not a finite number: {x!r}") from exc
 
 
 def _exact(c) -> int | Fraction:
@@ -58,10 +62,9 @@ class _Expansion:
         """Adopts the `coeffs` dict given and normalizes it in place (zero values
         dropped, the others made `_exact`), so no copy of it is held.  One pass
         finds the values that are zero or not an int; only those are touched.
-        A scale that is not a positive int, or a negative qbound, is refused."""
-        if not isinstance(self.scale, int) or self.scale < 1:
-            raise DomainError(f"scale must be a positive int, got {self.scale!r}")
-        self.qbound = _bound(self.qbound)
+        The fields are checked first (`check_fields`)."""
+        self.qbound = _num(self.qbound)
+        self.check_fields()
         coeffs = self.coeffs
         for key, c in [(key, c) for key, c in coeffs.items() if type(c) is not int or not c]:
             c = _exact(c)
@@ -69,6 +72,13 @@ class _Expansion:
                 coeffs[key] = c
             else:
                 del coeffs[key]
+
+    def check_fields(self):
+        """DomainError for a scale that is not a positive int or a negative
+        qbound: the construction checks, which an evaluation repeats."""
+        if not isinstance(self.scale, int) or self.scale < 1:
+            raise DomainError(f"scale must be a positive int, got {self.scale!r}")
+        _bound(self.qbound)
 
     def rescaled(self, new_scale: int):
         if new_scale % self.scale:
@@ -155,6 +165,12 @@ class JacobiExpansion(_Expansion):
     def __post_init__(self):
         self.weight, self.index = _num(self.weight), _num(self.index)
         super().__post_init__()
+
+    def check_fields(self):
+        """The checks of every expansion, and a negative index refused."""
+        super().check_fields()
+        if _num(self.index) < 0:
+            raise DomainError(f"index must be >= 0, got {self.index}")
 
     @classmethod
     def _of_discriminant(cls, weight, table: list, qbound) -> "JacobiExpansion":

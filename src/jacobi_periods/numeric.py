@@ -24,8 +24,8 @@ Conventions fixed by computation rather than assumption:
   exact constant ratio without it.
 
 * P has two evaluators.  The completed function phi = -E/12 + R', with
-  R' = 2 sum_mu c_mu(tau) theta_mu(tau, z) and c_mu the erfc closed form
-  `completion_term`, is invariant under T (Zagier 1975), so
+  R' = 2 sum_mu c_mu(tau) theta_mu(tau, z) and (c_0, c_1) the erfc closed
+  form `completion_pair`, is invariant under T (Zagier 1975), so
 
       P = 12 (R'|T - R')
 
@@ -46,11 +46,11 @@ Conventions fixed by computation rather than assumption:
 
 Every theta value, at (tau, z) and on the quadrature's ray alike, comes
 from the one sum `_theta_sums`, which builds its terms by recurrence from
-one e(tau/4) and one e(z) per group of components at that z: `theta_value`
-takes one component, `theta_pair` both at one z, and a lower ray node
-theta_0 at z = 0 and 1/4.  Every ray node lies on the imaginary axis with z
-= 0 or 1/4, where the sum takes its axis branch: the same recurrence on real
-parts, with no e(z), bit for bit the complex one.
+one e(tau/4) and one e(z) per group of components at that z: `theta_pair`
+takes both components at one z, and a lower ray node theta_0 at z = 0 and
+1/4.  Every ray node lies on the imaginary axis with z = 0 or 1/4, where
+the sum takes its axis branch: the same recurrence on real parts, with no
+e(z), bit for bit the complex one.
 
 Every integral (the period integrals of P, the Eichler integrals of the
 completion and beta's defining integral) is one tanh-sinh walk
@@ -71,9 +71,11 @@ nan if it is nan at any point, so that the check fails.
 All evaluations are pure.  One fixed pairwise tree, `pairwise_sum`,
 reduces the sums over Hecke terms and the rows and terms of
 `eval_expansion`, on raw mpc tuples with the `mpc_add` of the mpc operator,
-so results are bit-stable for a given configuration.  Each
-tau-only factor (c_mu, h_mu, the period and the Eichler integrals) is
-computed once per exact tau and precision inside a `_memo_scope`: one per
+so results are bit-stable for a given configuration.  Index 1 has two
+theta components, so each tau-only factor (c_mu, h_mu, the period and the
+Eichler integrals) is a pair over mu, and no public function takes a mu;
+each pair is computed once per exact tau and precision inside a
+`_memo_scope`: one per
 evaluation of a slash sum, and one per quadrature-backed check; each beta
 value of the completion series once per exact argument.
 
@@ -82,7 +84,7 @@ bit.  An expansion keeps its evaluation forms (`_form_of`): the point-free
 part of `eval_expansion`, per precision, in a private attribute that goes
 with the expansion, beside a shallow snapshot of coeffs, scale, qbound and
 index; an evaluation that finds any of them changed rebuilds the form.
-`_h_mu_value` reads its series from `_h_mu_series`, one instance per
+`_h_pair` reads its series from `_h_mu_series`, one instance per
 (mu, qbound) among the 16 most recently used, so every h_mu evaluation at
 one truncation reuses one form.
 """
@@ -277,8 +279,9 @@ def _form_of(f, prec, rnd):
     precision.  The forms live in the private attribute `_evaluation_forms`
     of f, so they go with it, beside a shallow snapshot of the fields they
     are built from (coeffs, scale, qbound, index); a form is used only while
-    one comparison finds f's fields equal to the snapshot, and a change to
-    any of them drops every form of f."""
+    one comparison finds f's fields equal to the snapshot.  A change to any
+    of them runs f's `check_fields` (DomainError for a field rebound to a bad
+    value) and drops every form of f."""
     if isinstance(f, JacobiExpansion):
         m = f.index
     elif isinstance(f, QSeries):
@@ -288,6 +291,7 @@ def _form_of(f, prec, rnd):
     state = (f.coeffs, f.scale, f.qbound, m)
     memo = f.__dict__.get("_evaluation_forms")
     if memo is None or memo[0] != state:
+        f.check_fields()
         memo = f._evaluation_forms = ((dict(f.coeffs), f.scale, f.qbound, m), {})
     forms = memo[1]
     if (prec, rnd) not in forms:
@@ -394,8 +398,8 @@ def slash_ring_term(fval, e, k, m):
     return slash(fval, g, k, m)
 
 
-# The memo of the open `_memo_scope`, None outside one: the tau-only factors
-# `completion_term`, `_h_mu_value`, `_period_integrals` and
+# The memo of the open `_memo_scope`, None outside one: the pairs of tau-only
+# factors `_completion_series`, `_h_pair`, `_period_integrals` and
 # `_eichler_integrals`, keyed by their arguments (the exact tau among them)
 # and the precision, and the `beta_fn` values of `_completion_series`.
 _SUM_MEMO: ContextVar[dict | None] = ContextVar("_SUM_MEMO", default=None)
@@ -557,7 +561,7 @@ def _fdot(ws, fs, prec, rnd):
 # Theta, completion terms, and the period integral
 
 
-# Extra digits for the recurrence of `theta_value`, and for R' in
+# Extra digits for the recurrences of `_theta_sums`, and for R' in
 # `period_value`: P is the difference of two values of R', and `beta_fn`'s
 # closed form cancels for large arguments.
 _GUARD_DPS = 5
@@ -655,22 +659,16 @@ def _theta_sums(tau, groups):
     return sums
 
 
-def theta_value(mu: int, tau, z):
-    """theta_mu(tau, z) = sum over r = mu mod 2 of q^(r^2/4) zeta^r, truncated
-    where the term magnitude e^(-2 pi (r^2 v/4 - |r y|)) is provably below
-    working precision for all remaining r.
+def theta_pair(tau, z):
+    """(theta_0(tau, z), theta_1(tau, z)), theta_mu = sum over r = mu mod 2 of
+    q^(r^2/4) zeta^r, truncated where the term magnitude e^(-2 pi (r^2 v/4 -
+    |r y|)) is provably below working precision for all remaining r.
 
     The terms at +-r come from those at +-(r-2) by q^(r^2/4) =
     q^((r-2)^2/4) q^(r-1) and zeta^(+-r) = zeta^(+-(r-2)) zeta^(+-2), so a
-    call takes the two exponentials e(tau/4) and e(z).  The recurrence runs
-    with `_GUARD_DPS` extra digits, and the sum keeps them."""
-    _require_point(tau, z)
-    return _theta_sums(tau, ((z, (mu,)),))[0]
-
-
-def theta_pair(tau, z):
-    """(theta_0(tau, z), theta_1(tau, z)) from one pair of exponentials; each
-    component is bit-identical to its `theta_value`."""
+    call takes the two exponentials e(tau/4) and e(z) for both components.
+    The recurrence runs with `_GUARD_DPS` extra digits, and the sums keep
+    them."""
     _require_point(tau, z)
     return tuple(_theta_sums(tau, ((z, (0, 1)),)))
 
@@ -744,26 +742,27 @@ def beta_fn_quadrature(x, cfg: NumericConfig = DEFAULT_CONFIG):
         return _tanh_sinh((1, mp.inf), cfg.quad_nodes, 1, values)[0] / (16 * mp.pi)
 
 
-def completion_term(mu: int, tau):
-    """v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v) q^(-l^2/4); the
-    nonholomorphic completion component attached to the class numbers, once
-    per memo scope (`_per_sum`), and each beta value once per exact argument
-    in it, so that taus with one Im tau share them."""
+def completion_pair(tau):
+    """(c_0, c_1), c_mu = v^(-1/2) sum over l = mu mod 2 of beta(pi l^2 v)
+    q^(-l^2/4): the nonholomorphic completion attached to the class numbers,
+    once per memo scope (`_per_sum`), and each beta value once per exact
+    argument in it, so that taus with one Im tau share them."""
     _require_point(tau)
-    return _per_sum(_completion_series, mu, mp.mpc(tau))
+    return _per_sum(_completion_series, mp.mpc(tau))
 
 
-def _completion_series(mu: int, tau):
+def _completion_series(tau):
     v = mp.im(tau)
-    total = mp.mpc(0)
-    l = mu
+    totals = [mp.mpc(0), mp.mpc(0)]  # c_mu sums the l = mu mod 2
+    l = 0
     eps = mp.mpf(10) ** (-mp.mp.dps - 2)
+    # beta(pi l^2 v) q^(-l^2/4) decays like e^(-pi l^2 v / 2), which falls
+    # with l: the first l > 2 below eps ends the sums of both parities
     while not (l > 2 and mp.e ** (-mp.pi * l * l * v / 2) < eps):
-        # beta(pi l^2 v) q^(-l^2/4) decays like e^(-pi l^2 v / 2)
         term = _per_sum(beta_fn, mp.pi * l * l * v) * _e(-l * l / mp.mpf(4) * tau)
-        total += term if l == 0 else 2 * term  # +-l coincide at z = 0
-        l += 2
-    return total / mp.sqrt(v)
+        totals[l % 2] += term if l == 0 else 2 * term  # +-l coincide at z = 0
+        l += 1
+    return tuple(total / mp.sqrt(v) for total in totals)
 
 
 # The pieces of the ray (0, i inf) in `period_quadrature`: the quadrature
@@ -918,7 +917,7 @@ def period_quadrature(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
         integrals = _per_sum(_period_integrals, tau, cfg.quad_nodes)
-        total = _theta_decomposition(tau, z, lambda mu: integrals[mu])
+        total = _theta_decomposition(tau, z, integrals)
         return -(24 / mp.pi) * (1 + 1j) / 16 * total
 
 
@@ -943,32 +942,23 @@ def _eichler_integrals(tau, degree: int):
     return _tanh_sinh((0, mp.inf), degree, 2, values)
 
 
-def eichler_theta_integral(mu: int, tau, cfg: NumericConfig = DEFAULT_CONFIG):
-    """Both sides of the completion identity at tau: the beta series
-    v^(-1/2) sum beta(pi l^2 v) q^(-l^2/4) and the ray integral
-    (1+i)/(16 pi) int_{-conj(tau)}^{i inf} (t + tau)^(-3/2) theta_mu(t, 0) dt;
-    returns (series_side, integral_side).  The integrals of both mu come
-    from `_eichler_integrals`, once per tau in a `_memo_scope` (`_per_sum`)."""
+def eichler_theta_integrals(tau, cfg: NumericConfig = DEFAULT_CONFIG):
+    """(series_side, integral_side), each a pair over mu, of the completion
+    identity at tau: `completion_pair` and the ray integral (1+i)/(16 pi)
+    int_{-conj(tau)}^{i inf} (t + tau)^(-3/2) theta_mu(t, 0) dt.  The
+    integrals of both mu come from `_eichler_integrals`, once per tau in a
+    `_memo_scope` (`_per_sum`)."""
     _require_point(tau)
     with mp.workdps(cfg.dps):
         tau = mp.mpc(tau)
-        series_side = completion_term(mu, tau)
+        walked = _per_sum(_eichler_integrals, tau, cfg.quad_nodes)
         # theta_0 - 1 leaves the limit 1 of theta_0, which integrates in closed form
-        rest = 1j * _per_sum(_eichler_integrals, tau, cfg.quad_nodes)[mu]
-        integral = 2 * (2j * mp.im(tau)) ** mp.mpf(-0.5) + rest if mu == 0 else rest
-        integral_side = (1 + 1j) / (16 * mp.pi) * integral
-        return series_side, integral_side
+        integrals = (2 * (2j * mp.im(tau)) ** mp.mpf(-0.5) + 1j * walked[0], 1j * walked[1])
+        return completion_pair(tau), tuple((1 + 1j) / (16 * mp.pi) * x for x in integrals)
 
 
 # ---------------------------------------------------------------------------
 # The completed weight-2 index-1 invariant function
-
-
-def _h_mu_value(mu: int, tau, cfg):
-    """The class-number component h_mu(tau), truncated where q^Q drops below
-    10^-(dps+3), and never below cfg.qmax; once per memo scope (`_per_sum`),
-    from the series of the memo `_h_mu_series`."""
-    return _per_sum(_h_mu_series_value, mu, mp.mpc(tau), cfg)
 
 
 @lru_cache(maxsize=16)
@@ -978,18 +968,23 @@ def _h_mu_series(mu: int, qbound: int):
     return h_mu_series(mu, qbound)
 
 
-def _h_mu_series_value(mu: int, tau, cfg):
+def _h_pair(tau, cfg):
+    """(h_0(tau), h_1(tau)), the class-number components, truncated where
+    q^Q drops below 10^-(dps+3), and never below cfg.qmax, from the series of
+    the memo `_h_mu_series`; its callers take it once per memo scope
+    (`_per_sum`)."""
     v = mp.im(tau)
     qbound = max(cfg.qmax, int(mp.ceil((cfg.dps + 3) * mp.log(10) / (2 * mp.pi * v))))
-    return eval_expansion(_h_mu_series(mu, qbound), EvalPoint(tau), cfg)[0]
+    point = EvalPoint(tau)
+    return tuple(eval_expansion(_h_mu_series(mu, qbound), point, cfg)[0] for mu in (0, 1))
 
 
-def _theta_decomposition(tau, z, component):
-    """sum_mu F_mu(tau) theta_mu(tau, z) over mu in {0, 1}, with F_mu =
-    component(mu) and both theta_mu from one `theta_pair`."""
+def _theta_decomposition(tau, z, pair):
+    """F_0 theta_0(tau, z) + F_1 theta_1(tau, z) for the pair (F_0, F_1) of
+    tau-only components, with both theta_mu from one `theta_pair`."""
     total = mp.mpc(0)
-    for mu, theta in enumerate(theta_pair(tau, z)):
-        total += component(mu) * theta
+    for component, theta in zip(pair, theta_pair(tau, z), strict=True):
+        total += component * theta
     return total
 
 
@@ -997,12 +992,12 @@ def e21_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
     """E(tau, z) = -12 sum_mu h_mu(tau) theta_mu(tau, z), the theta
     decomposition of the weight-2 index-1 class-number series (Eichler-Zagier
     section 5; checked coefficientwise by `fourier.theta_decomposition_check`).
-    It costs O(Q) one-variable terms plus an adaptive `theta_value`, with no
+    It costs O(Q) one-variable terms plus an adaptive `theta_pair`, with no
     tail in the zeta direction."""
     _require_point(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
-        return -12 * _theta_decomposition(tau, z, lambda mu: _h_mu_value(mu, tau, cfg))
+        return -12 * _theta_decomposition(tau, z, _per_sum(_h_pair, tau, cfg))
 
 
 def phi_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG, holomorphic_only=False):
@@ -1018,18 +1013,16 @@ def phi_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG, holomorphic_only=Fals
     _require_point(tau, z)
     with mp.workdps(cfg.dps):
         tau, z = mp.mpc(tau), mp.mpc(z)
-
-        def component(mu):
-            h = _h_mu_value(mu, tau, cfg)
-            return h if holomorphic_only else h + 2 * completion_term(mu, tau)
-
-        return _theta_decomposition(tau, z, component)
+        pair = _per_sum(_h_pair, tau, cfg)
+        if not holomorphic_only:
+            pair = [h + 2 * c for h, c in zip(pair, completion_pair(tau))]
+        return _theta_decomposition(tau, z, pair)
 
 
 def _completion_value(tau, z):
     """R'(tau, z) = 2 sum_mu c_mu(tau) theta_mu(tau, z), the nonholomorphic
-    part of the completed function, with c_mu = `completion_term`."""
-    return _theta_decomposition(tau, z, lambda mu: 2 * completion_term(mu, tau))
+    part of the completed function, with c_mu from `completion_pair`."""
+    return _theta_decomposition(tau, z, [2 * c for c in completion_pair(tau)])
 
 
 def period_value(tau, z, cfg: NumericConfig = DEFAULT_CONFIG):
@@ -1236,11 +1229,11 @@ def check_beta(cfg: NumericConfig = DEFAULT_CONFIG, xs=(0.3, 1.0, 2.5)) -> dict:
 
 def check_eichler_integral(cfg: NumericConfig = DEFAULT_CONFIG,
                            taus=(1j, 2j, complex(0.5, 1.3))) -> dict:
-    """Largest gap between the two sides of `eichler_theta_integral` over
+    """Largest gap between the two sides of `eichler_theta_integrals` over
     mu in {0, 1} and the given tau, in one memo scope: one walk per tau."""
     with _memo_scope():
-        err = _largest(abs(series - integral) for mu in (0, 1) for tau in taus
-                       for series, integral in [eichler_theta_integral(mu, tau, cfg)])
+        err = _largest(abs(series - integral) for tau in taus
+                       for series, integral in zip(*eichler_theta_integrals(tau, cfg)))
     return {"check": "eichler_integral", "max_abs_error": err}
 
 
@@ -1271,11 +1264,15 @@ def v_sum_value(n: int, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
 
 
 class Check(NamedTuple):
-    """`run(cfg, level)` returns the report, which passes when `report[key] <
-    gate`; `level` is the transfer check's level (None: 2) and theorem1's n."""
+    """`run(cfg, level)` returns the report, which `passed` judges; `level`
+    is the transfer check's level (None: 2) and theorem1's n."""
     run: Callable
     key: str
     gate: float
+
+    def passed(self, report) -> bool:
+        """report[key] < gate, the one pass rule: a nan residual fails."""
+        return report[self.key] < self.gate
 
 
 # The floating checks of `verify numeric` (in suite order) and `verify theorem1`.

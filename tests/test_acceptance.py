@@ -140,8 +140,7 @@ def test_check_gates_are_the_acceptance_tolerances():
 
 
 def _passes(name, rep):
-    check = CHECKS[name]
-    return rep[check.key] < check.gate
+    return CHECKS[name].passed(rep)
 
 
 def test_criterion_07_transformation_law():

@@ -244,10 +244,26 @@ def test_phi_lift_to_weight_two():
     lambda: QSeries(4, {0: 1}, -1),
     lambda: JacobiExpansion(2, 1, 1, {(0, 0): 1}, Fraction(-1, 2)),
     lambda: JacobiExpansion._of_discriminant(2, [-1], -1),
+    lambda: JacobiExpansion(2, -1, 1, {(1, 0): 1}, 5),
 ], ids=["QSeries_scale_0", "QSeries_scale_-4", "QSeries_scale_2.5", "Jacobi_scale_0",
-        "QSeries_qbound_-1", "Jacobi_qbound_-1/2", "table_qbound_-1"])
+        "QSeries_qbound_-1", "Jacobi_qbound_-1/2", "table_qbound_-1", "Jacobi_index_-1"])
 def test_expansions_refuse_a_bad_scale_or_qbound(make):
-    # each of these once constructed and failed only when evaluated
+    # each of these once constructed and failed only when evaluated (the
+    # negative index with a TypeError in the tail bound)
+    with pytest.raises(DomainError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: e21_expansion(float("nan")),
+    lambda: QSeries(1, {}, float("inf")),
+    lambda: JacobiExpansion("x", 1, 1, {}, 5),
+    lambda: JacobiExpansion(2, None, 1, {}, 5),
+    lambda: QSeries(1, {0: float("nan")}, 5),
+], ids=["e21_qbound_nan", "QSeries_qbound_inf", "Jacobi_weight_x", "Jacobi_index_None",
+        "QSeries_coefficient_nan"])
+def test_expansions_refuse_what_is_not_a_finite_number(make):
+    # these raised the ValueError, OverflowError or TypeError of Fraction()
     with pytest.raises(DomainError):
         make()
 

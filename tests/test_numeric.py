@@ -1,3 +1,4 @@
+import inspect
 import random
 import weakref
 from dataclasses import replace
@@ -37,8 +38,9 @@ from jacobi_periods.numeric import (
     check_theorem1,
     check_tildeT_action,
     check_transformation_law,
+    completion_pair,
     e21_value,
-    eichler_theta_integral,
+    eichler_theta_integrals,
     eval_expansion,
     hecke_slash_sum_value,
     pairwise_sum,
@@ -48,7 +50,7 @@ from jacobi_periods.numeric import (
     phi_value,
     slash,
     slash_formal_sum,
-    theta_value,
+    theta_pair,
     v_sum_value,
 )
 
@@ -80,7 +82,10 @@ def test_eval_point_refuses_non_finite_coordinates(tau, z):
         EvalPoint(tau, z)
 
 
-@pytest.mark.parametrize("evaluator", [period_value, period_quadrature, e21_value, phi_value])
+@pytest.mark.parametrize("evaluator", [
+    period_value, period_quadrature, e21_value, phi_value,
+    pytest.param(lambda tau, z, cfg: theta_pair(tau, z), id="theta_pair"),
+])
 @pytest.mark.parametrize("tau, z", [(1j, NAN), (1j, INF), (complex(NAN, 1), 0j)])
 def test_point_evaluators_refuse_non_finite_coordinates(evaluator, tau, z):
     # period_value(1j, nan) raised a ValueError from int() of a nan
@@ -88,25 +93,33 @@ def test_point_evaluators_refuse_non_finite_coordinates(evaluator, tau, z):
         evaluator(tau, z, CFG)
 
 
+@pytest.mark.parametrize("evaluator", [completion_pair, lambda tau: eichler_theta_integrals(tau, CFG)],
+                         ids=["completion_pair", "eichler_theta_integrals"])
+@pytest.mark.parametrize("tau", [complex(NAN, 1), complex(0, INF), mp.mpc(0, mp.inf)])
+def test_tau_pair_entries_refuse_a_non_finite_tau(evaluator, tau):
+    with pytest.raises(DomainError):
+        evaluator(tau)
+
+
 @pytest.mark.parametrize("call", [
     lambda tau: EvalPoint(tau),
-    lambda tau: theta_value(0, tau, 0.1),
-    lambda tau: numeric.theta_pair(tau, 0.1),
-    lambda tau: numeric.completion_term(0, tau),
-    lambda tau: eichler_theta_integral(1, tau, CFG),
+    lambda tau: theta_pair(tau, 0.1),
+    lambda tau: completion_pair(tau),
+    lambda tau: eichler_theta_integrals(tau, CFG),
     lambda tau: e21_value(tau, 0.1, CFG),
     lambda tau: phi_value(tau, 0.1, CFG),
     lambda tau: period_value(tau, 0.1, CFG),
     lambda tau: period_quadrature(tau, 0.1, CFG),
-], ids=["EvalPoint", "theta_value", "theta_pair", "completion_term", "eichler_theta_integral",
+], ids=["EvalPoint", "theta_pair", "completion_term", "eichler_theta_integral",
         "e21_value", "phi_value", "period_value", "period_quadrature"])
 @pytest.mark.parametrize("tau", [complex(0.3, 0), complex(0.3, -0.5), mp.mpc(0, "-1e-40")])
 def test_tau_entry_points_refuse_the_lower_half_plane(monkeypatch, call, tau):
-    # theta, e21_value and period_value raised a TypeError below the real
-    # axis, period_quadrature a ZeroDivisionError on it, and completion_term
-    # and eichler_theta_integral never returned at Im tau = 0: with the sums
-    # behind the entry points made to fail, a missing check fails the test
-    # instead of hanging it
+    # the ids name the objects: c_mu (`completion_pair`) and the Eichler
+    # integrals (`eichler_theta_integrals`).  theta, e21_value and
+    # period_value raised a TypeError below the real axis, period_quadrature
+    # a ZeroDivisionError on it, and the completion and Eichler entries
+    # never returned at Im tau = 0: with the sums behind the entry points
+    # made to fail, a missing check fails the test instead of hanging it
     def unreached(*args):
         raise AssertionError("evaluated outside the upper half plane")
 
@@ -114,6 +127,18 @@ def test_tau_entry_points_refuse_the_lower_half_plane(monkeypatch, call, tau):
         monkeypatch.setattr(numeric, name, unreached)
     with pytest.raises(DomainError):
         call(tau)
+
+
+def test_no_public_numeric_callable_takes_mu():
+    # index 1 has two theta components, and every tau-only component is a
+    # pair over them: a mu parameter could only select one, or fall outside
+    # {0, 1}
+    public = [(name, obj) for name, obj in vars(numeric).items()
+              if not name.startswith("_") and callable(obj)
+              and getattr(obj, "__module__", None) == numeric.__name__]
+    assert len(public) > 20
+    takes_mu = [name for name, obj in public if "mu" in inspect.signature(obj).parameters]
+    assert takes_mu == []
 
 
 @pytest.mark.parametrize("x", [NAN, INF, -1, mp.mpf("-1e-40")])
@@ -155,7 +180,7 @@ def test_theta_value_matches_term_by_term_sum():
                 for mu in (0, 1):
                     ref, size = _theta_term_by_term(mu, tau, z)
                     with mp.workdps(30):
-                        val = theta_value(mu, mp.mpc(tau), mp.mpc(z))
+                        val = theta_pair(mp.mpc(tau), mp.mpc(z))[mu]
                     with mp.workdps(60):
                         assert abs(val - ref) < 1e-30 * size, (mu, tau, z)
 
@@ -166,8 +191,8 @@ def test_theta_inversion_on_the_ray():
     with mp.workdps(30):
         for t in (mp.mpf("0.01"), mp.mpf("0.05"), mp.mpf("0.3"), mp.mpf("0.77"), mp.mpf(1)):
             for mu in (0, 1):
-                lhs = mp.sqrt(2 * t) * theta_value(mu, 1j * t, 0)
-                rhs = theta_value(0, 1j / (4 * t), mp.mpf(mu) / 4)
+                lhs = mp.sqrt(2 * t) * theta_pair(1j * t, 0)[mu]
+                rhs = theta_pair(1j / (4 * t), mp.mpf(mu) / 4)[0]
                 assert abs(lhs - rhs) < 1e-28 * abs(rhs), (mu, t)
 
 
@@ -189,7 +214,7 @@ def test_eval_expansion_theta_cross_check():
         for pt in DEFAULT_POINTS:
             val, err = eval_expansion(t0, pt, CFG)
             with mp.workdps(CFG.dps):
-                direct = theta_value(0, mp.mpc(pt.tau), mp.mpc(pt.z))
+                direct = theta_pair(mp.mpc(pt.tau), mp.mpc(pt.z))[0]
                 assert abs(val - direct) < max(float(err), 1e-20) + 1e-20
 
 
@@ -239,7 +264,7 @@ def _dropped_tail(short, long, pt):
 
 
 def test_tail_bound_dominates_the_dropped_tail():
-    # h_mu sized as _h_mu_value sizes it, against the series to four times
+    # h_mu sized as _h_pair sizes it, against the series to four times
     # the order
     for v in (0.1, 1 / 9, 0.3, 1, 10):
         q = max(CFG.qmax, int(mp.ceil((CFG.dps + 3) * mp.log(10) / (2 * mp.pi * v))))
@@ -461,6 +486,24 @@ def test_a_changed_expansion_is_evaluated_afresh(name, change):
     assert after != before
 
 
+@pytest.mark.parametrize("make, field, value", [
+    (lambda: QSeries(4, {0: 1}, 5), "scale", 0),
+    (lambda: QSeries(4, {0: 1}, 5), "qbound", -1),
+    (lambda: JacobiExpansion(2, 1, 1, {(1, 0): 1}, 5), "index", -1),
+], ids=["QSeries_scale_0", "QSeries_qbound_-1", "Jacobi_index_-1"])
+@pytest.mark.parametrize("evaluated_before", [False, True])
+def test_a_field_rebound_to_a_bad_value_is_refused(make, field, value, evaluated_before):
+    # the construction checks run again on the rebound field: a scale of 0
+    # or a qbound of -1 raised a ZeroDivisionError, a negative index a
+    # TypeError in the tail bound
+    f = make()
+    if evaluated_before:
+        eval_expansion(f, EvalPoint(1j, 0.1j))
+    setattr(f, field, value)
+    with pytest.raises(DomainError):
+        eval_expansion(f, EvalPoint(1j, 0.1j))
+
+
 def test_each_precision_keeps_its_own_form():
     f = apply_V(e21_expansion(20), 2)
     for dps in (30, 45, 30, 60, 45):
@@ -545,10 +588,10 @@ def test_beta_closed_form_vs_quadrature():
 
 
 def test_eichler_integral_identity():
-    for mu in (0, 1):
-        for tau in (1j, 2j, mp.mpc(0.5, 1.3)):
-            series, integral = eichler_theta_integral(mu, tau, CFG)
-            assert abs(series - integral) < CHECKS["eichler"].gate, (mu, tau)
+    for tau in (1j, 2j, mp.mpc(0.5, 1.3)):
+        series, integrals = eichler_theta_integrals(tau, CFG)
+        for mu in (0, 1):
+            assert abs(series[mu] - integrals[mu]) < CHECKS["eichler"].gate, (mu, tau)
 
 
 def test_period_quadrature_stability_and_periodicity():
@@ -682,8 +725,8 @@ def _ray_quad(piece, mu, tau, maxdegree, memo):
     def factor(s):
         key = (piece, mu, mp.mp.prec, s)
         if key not in memo:
-            memo[key] = (theta_value(mu, 1j * s, 0).real - (1 - mu) if piece == "upper"
-                         else theta_value(0, 1j / (4 * s * s), mp.mpf(mu) / 4).real)
+            memo[key] = (theta_pair(1j * s, 0)[mu].real - (1 - mu) if piece == "upper"
+                         else theta_pair(1j / (4 * s * s), mp.mpf(mu) / 4)[0].real)
         return memo[key]
 
     def integrand(s):
@@ -703,7 +746,7 @@ def _eichler_quad(mu, tau, maxdegree):
 
     def integrand(s):
         calls.append(s)
-        theta = theta_value(mu, mp.mpc(-u, v + s), 0)
+        theta = theta_pair(mp.mpc(-u, v + s), 0)[mu]
         return (1j * (2 * v + s)) ** mp.mpf(-1.5) * (theta - 1 if mu == 0 else theta)
 
     return mp.quad(integrand, [0, mp.inf], maxdegree=maxdegree), len(calls)
@@ -926,9 +969,14 @@ def test_no_quadrature_calls_the_libmp_power(monkeypatch):
     assert check.run(CFG, None)[check.key] < check.gate
 
 
+def _one_component(mu, tau, z):
+    """theta_mu(tau, z) from a `_theta_sums` call that takes mu alone."""
+    return numeric._theta_sums(tau, ((z, (mu,)),))[0]
+
+
 def test_theta_pair_equals_both_components():
-    # one call gives both components: each equals the term-by-term sum as
-    # `theta_value` does, and `theta_value` itself bit for bit
+    # one call gives both components: each equals the term-by-term sum, and
+    # a sum of its component alone bit for bit
     rng = random.Random(11)
     points = [(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 3)),
                complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))) for _ in range(6)]
@@ -942,13 +990,13 @@ def test_theta_pair_equals_both_components():
                 pair = numeric.theta_pair(tau, z)
                 assert len(pair) == 2
                 for mu in (0, 1):
-                    assert pair[mu]._mpc_ == theta_value(mu, tau, z)._mpc_, (tau, z, mu, dps)
+                    assert pair[mu]._mpc_ == _one_component(mu, tau, z)._mpc_, (tau, z, mu, dps)
                 # so does each (mu, z) of one call with several z, as a lower
                 # ray node makes it
                 groups = [(w, mus) for w in (z, 0, mp.mpf(1) / 4) for mus in ((0, 1), (0,))]
                 flat = [(mu, w) for w, mus in groups for mu in mus]
                 for (mu, w), value in zip(flat, numeric._theta_sums(tau, groups), strict=True):
-                    assert value._mpc_ == theta_value(mu, tau, w)._mpc_, (tau, w, mu, dps)
+                    assert value._mpc_ == _one_component(mu, tau, w)._mpc_, (tau, w, mu, dps)
         ref = [_theta_term_by_term(mu, tau, z) for mu in (0, 1)]
         with mp.workdps(30):
             pair = numeric.theta_pair(tau, z)
@@ -1061,25 +1109,20 @@ def test_slash_sum_takes_each_beta_once(monkeypatch):
 
 def test_slash_sum_computes_each_completion_once_per_image(monkeypatch):
     # the n^2 lattice points of a matrix of tilde_T(2) share its image tau:
-    # within one sum each (mu, image tau) is computed once, and the sum is
-    # bit-identical to its terms evaluated one by one without the memo
+    # within one sum the pair (c_0, c_1) at each image tau is computed once,
+    # and the sum is bit-identical to its terms evaluated one by one without
+    # the memo
     computed = []
-    series = numeric._completion_series
-
-    def counting(mu, tau):
-        computed.append((mu, tau))
-        return series(mu, tau)
-
-    monkeypatch.setattr(numeric, "_completion_series", counting)
+    _counting(monkeypatch, "_completion_series", computed)
     P = lambda tau, z: period_value(tau, z, CFG)
     terms = tilde_T(2).sorted_terms()
     with mp.workdps(CFG.dps):
         tau, z = mp.mpc(0.1, 1.1), mp.mpc(0.2, 0.05)
         total = slash_formal_sum(P, tilde_T(2), 2, 1)(tau, z)
-        # R' at each matrix's image tau and at its T-image, for mu = 0 and 1
+        # R' at each matrix's image tau and at its T-image, one pair each
         matrices = {e.mat for e, _ in terms}
         assert len(terms) > len(matrices)
-        assert len(computed) == len(set(computed)) == 2 * 2 * len(matrices)
+        assert len(computed) == len(set(computed)) == 2 * len(matrices)
         once = len(computed)
         computed.clear()
         one_by_one = pairwise_sum(c * numeric.slash_ring_term(P, e, 2, 1)(tau, z) for e, c in terms)
@@ -1136,7 +1179,7 @@ def test_a_nan_residual_at_a_later_point_fails_its_check(monkeypatch):
                         lambda tau, z, cfg: mp.mpc(mp.nan) if tau == second else mp.mpc(0))
     check = CHECKS["extended"]
     report = check.run(CFG, None)
-    assert isnan(report[check.key]) and not report[check.key] < check.gate
+    assert isnan(report[check.key]) and not check.passed(report)
 
 
 def test_largest_keeps_nan_and_finite_bits():
@@ -1154,13 +1197,14 @@ def test_transfer_checks_see_the_completion(monkeypatch):
     # keep only the leading l = mu term of each completion component: P is
     # then no longer 12 (R'|T - R') of a T-invariant completion, and both
     # checks built on the closed form must fail
-    def leading_term(mu, tau):
+    def leading_terms(tau):
         tau = mp.mpc(tau)
         v = mp.im(tau)
-        term = beta_fn(mp.pi * mu * mu * v) * numeric._e(-mu * mu / mp.mpf(4) * tau)
-        return (term if mu == 0 else 2 * term) / mp.sqrt(v)
+        terms = [beta_fn(mp.pi * mu * mu * v) * numeric._e(-mu * mu / mp.mpf(4) * tau)
+                 for mu in (0, 1)]
+        return terms[0] / mp.sqrt(v), 2 * terms[1] / mp.sqrt(v)
 
-    monkeypatch.setattr(numeric, "completion_term", leading_term)
+    monkeypatch.setattr(numeric, "completion_pair", leading_terms)
     assert check_tildeT_action(2, CFG)["max_rel_error"] > 1e-3
     assert check_theorem1(2, CFG)["max_abs_error"] > 1e-4
 
