@@ -72,8 +72,8 @@ def cmd_hecke(args) -> int:
     q = args.qbound
     fourier._bound(q)  # named as given: the builders see only bounds derived from it
     n = args.n if args.operator == "v" else args.p
-    if n < 1:  # refused before it scales any bound
-        raise DomainError(f"level must be >= 1, got {n}")
+    # refused before it scales any bound; T_{p^2} and T_p on E_2 take a prime
+    fourier._level(n, "level", prime=args.operator in ("thalf", "t2"))
     if args.operator == "v":
         out = fourier.apply_V(fourier.e21_expansion(q * n), n)
     elif args.operator == "tj":

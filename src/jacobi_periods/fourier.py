@@ -15,9 +15,11 @@ psi-lift, among them E_{2,1}) is held as its table indexed by D; its
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from math import ceil, gcd, isqrt
+from types import MappingProxyType
 
 from .arith import (divisors, hurwitz, is_square, kronecker, l_zero_chi, moebius,
                     require_negative_fundamental, sigma)
@@ -25,8 +27,11 @@ from .errors import DomainError
 
 
 def _num(x) -> Fraction:
-    """x as a Fraction; DomainError unless x is a finite number."""
+    """x as a Fraction; DomainError unless x is a finite number (a string,
+    which `Fraction` would parse, is not one)."""
     try:
+        if isinstance(x, str):
+            raise TypeError("a string")
         return x if isinstance(x, Fraction) else Fraction(x)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"not a finite number: {x!r}") from exc
@@ -59,26 +64,20 @@ class _Expansion:
     `_rekey(key, m)` multiplies it by m."""
 
     def __post_init__(self):
-        """Adopts the `coeffs` dict given and normalizes it in place (zero values
-        dropped, the others made `_exact`), so no copy of it is held.  One pass
-        finds the values that are zero or not an int; only those are touched.
-        The fields are checked first (`check_fields`)."""
-        self.qbound = _num(self.qbound)
-        self.check_fields()
-        coeffs = self.coeffs
-        for key, c in [(key, c) for key, c in coeffs.items() if type(c) is not int or not c]:
-            c = _exact(c)
-            if c:
-                coeffs[key] = c
-            else:
-                del coeffs[key]
-
-    def check_fields(self):
-        """DomainError for a scale that is not a positive int or a negative
-        qbound: the construction checks, which an evaluation repeats."""
+        """The one validation point: DomainError for a scale that is not a
+        positive int or a negative qbound.  The exact nonzero terms given are
+        held in a new dict behind a read-only view; the caller's is untouched."""
         if not isinstance(self.scale, int) or self.scale < 1:
             raise DomainError(f"scale must be a positive int, got {self.scale!r}")
-        _bound(self.qbound)
+        object.__setattr__(self, "qbound", _bound(self.qbound))
+        terms = dict(self.coeffs)
+        for key, c in self.coeffs.items():
+            if type(c) is not int or not c:  # dropped, or made exact
+                if c := _exact(c):
+                    terms[key] = c
+                else:
+                    del terms[key]
+        object.__setattr__(self, "coeffs", MappingProxyType(terms))
 
     def rescaled(self, new_scale: int):
         if new_scale % self.scale:
@@ -117,12 +116,12 @@ class _Expansion:
         return a.below(bound).coeffs == b.below(bound).coeffs
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class QSeries(_Expansion):
     """Truncated one-variable q-series with rational exponents n_scaled/scale."""
 
     scale: int
-    coeffs: dict[int, int | Fraction] = field(default_factory=dict)
+    coeffs: Mapping[int, int | Fraction] = field(default_factory=dict)
     qbound: Fraction = Fraction(0)
 
     _exponent = staticmethod(lambda n: n)
@@ -142,7 +141,7 @@ class QSeries(_Expansion):
         }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class JacobiExpansion(_Expansion):
     """Truncated two-variable expansion sum c(n, r) q^n zeta^r with
     n = n_scaled/scale; complete for n < qbound.
@@ -155,7 +154,7 @@ class JacobiExpansion(_Expansion):
     weight: Fraction
     index: Fraction
     scale: int
-    coeffs: dict[tuple[int, int], int | Fraction] = field(default_factory=dict)
+    coeffs: Mapping[tuple[int, int], int | Fraction] = field(default_factory=dict)
     qbound: Fraction = Fraction(0)
 
     _exponent = staticmethod(lambda key: key[0])
@@ -163,14 +162,12 @@ class JacobiExpansion(_Expansion):
     _table = None  # the table form's list indexed by D
 
     def __post_init__(self):
-        self.weight, self.index = _num(self.weight), _num(self.index)
-        super().__post_init__()
-
-    def check_fields(self):
         """The checks of every expansion, and a negative index refused."""
-        super().check_fields()
-        if _num(self.index) < 0:
+        object.__setattr__(self, "weight", _num(self.weight))
+        object.__setattr__(self, "index", _num(self.index))
+        if self.index < 0:
             raise DomainError(f"index must be >= 0, got {self.index}")
+        super().__post_init__()
 
     @classmethod
     def _of_discriminant(cls, weight, table: list, qbound) -> "JacobiExpansion":
@@ -178,13 +175,13 @@ class JacobiExpansion(_Expansion):
         allowed, and zero at D = 1, 2 mod 4, which no key reaches) for every
         D < 4 ceil(qbound) - 3."""
         f = cls.__new__(cls)
-        f.weight, f.index, f.scale, f.qbound = _num(weight), Fraction(1), 1, _bound(qbound)
-        f._table = table
+        f.__dict__.update(weight=_num(weight), index=Fraction(1), scale=1, qbound=_bound(qbound),
+                          _table=table)
         return f
 
     def __getattr__(self, name):
         """Reached only for an attribute the instance lacks: `coeffs` of the
-        table form, built here once."""
+        table form, built here once behind a read-only view."""
         table = self._table
         if name != "coeffs" or table is None:
             raise AttributeError(name)
@@ -194,7 +191,7 @@ class JacobiExpansion(_Expansion):
             for r in range(-top, top + 1):
                 if c := table[4 * n - r * r]:
                     coeffs[(n, r)] = c
-        self.coeffs = coeffs
+        self.__dict__["coeffs"] = coeffs = MappingProxyType(coeffs)
         return coeffs
 
     def coeff(self, n_scaled: int, r: int) -> int | Fraction:
@@ -342,6 +339,17 @@ def theta_decomposition_check(qbound) -> bool:
 # Hecke operators on coefficients
 
 
+def _level(n, name: str = "n", prime: bool = False):
+    """DomainError unless the Hecke level n is an int >= 1, and a prime if
+    `prime` (the formulas of `apply_T_half` and `apply_T_weight2`)."""
+    if not isinstance(n, int):
+        raise DomainError(f"{name} must be an int, got {n!r}")
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
+    if prime and len(divisors(n)) != 2:
+        raise DomainError(f"{name} must be a prime, got {n}")
+
+
 def _require_integral(f: JacobiExpansion, op: str):
     if f.scale != 1:
         raise DomainError(f"{op} needs integer exponents (scale 1), got scale {f.scale}")
@@ -355,8 +363,7 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
     """Index-raising Hecke action: c'(n, r) = sum over a | gcd(n, r, ell) of
     a^(k-1) c(n*ell/a^2, r/a); index becomes index*ell."""
     _require_integral(f, "apply_V")
-    if ell < 1:
-        raise DomainError(f"ell must be >= 1, got {ell}")
+    _level(ell, "ell")
     k = int(f.weight)
     by_n: dict[int, list] = {}
     for (n, r), c in f.coeffs.items():
@@ -377,8 +384,7 @@ def apply_V(f: JacobiExpansion, ell: int) -> JacobiExpansion:
 
 def tj_needed_nmax(n: int, N: int) -> int:
     """Largest input exponent a complete output coefficient at q^N can read."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _level(n)
     if N < 0:
         raise DomainError(f"the output order must be >= 0, got {N}")
     return n * n * (N + isqrt(4 * N) * (n - 1) + (n - 1) ** 2)
@@ -389,7 +395,7 @@ def _tj_output_bound(n: int, qbound) -> int:
     of T_n on an input known below q^qbound.  tj_needed_nmax is
     nondecreasing in N and at least N, so the least N lies in [0, hi] with
     hi = max(1, ceil(qbound)), found by bisection; hi >= 1 makes the first
-    probe refuse n < 1."""
+    probe check n (`_level`)."""
     lo, hi = 0, max(1, ceil(qbound))
     while lo < hi:
         mid = (lo + hi) // 2
@@ -436,7 +442,7 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
     _require_integral(f, "apply_T_jacobi")
     if f.index != 1:
         raise DomainError("only index 1 is supported")
-    q_out = _tj_output_bound(n, f.qbound)  # refuses n < 1
+    q_out = _tj_output_bound(n, f.qbound)  # checks n
     k = int(f.weight)
     dmin = f.min_discriminant()
     if dmin is not None and dmin < 0:
@@ -491,11 +497,10 @@ def apply_T_jacobi(f: JacobiExpansion, n: int) -> JacobiExpansion:
 
 def apply_T_half(h: QSeries, p: int) -> QSeries:
     """Half-integral-weight Hecke action on a series supported on
-    N = 0, 3 mod 4: c'(N) = c(N p^2) + (-N/p) c(N) + p c(N/p^2)."""
+    N = 0, 3 mod 4: c'(N) = c(N p^2) + (-N/p) c(N) + p c(N/p^2), p a prime."""
     if h.scale != 1:
         raise DomainError("scale-1 series required")
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    _level(p, "p", prime=True)
     for n in h.coeffs:
         if n % 4 in (1, 2):
             raise DomainError("support must lie in N = 0, 3 mod 4")
@@ -513,15 +518,14 @@ def apply_T_half(h: QSeries, p: int) -> QSeries:
 
 
 def apply_T_weight2(e: QSeries, p: int, literal: bool = False) -> QSeries:
-    """Weight-2 Hecke action c'(n) = c(pn) + p c(n/p).
+    """Weight-2 Hecke action c'(n) = c(pn) + p c(n/p), p a prime.
 
     With ``literal=True`` the exponent on the lower term follows the d^(-4)
     normalization instead, c'(n) = p c(n/p) + p^(-2) c(pn), whose constant
     term p + p^(-2) visibly breaks the (p+1)-eigenvalue property."""
     if e.scale != 1:
         raise DomainError("scale-1 series required")
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    _level(p, "p", prime=True)
     q_out = _orders_below(e.qbound, p)
     upper = Fraction(1, p * p) if literal else 1
     coeffs = {}
@@ -597,9 +601,11 @@ def diagram_check(p: int, disc: int, qbound: int, literal_weight2: bool = False)
     class-number series below 4 tj_needed_nmax(p, qbound - 1) + 5, the order
     its T_p image below qbound reads.  The class-number series itself is
     built to the largest of those bounds and of the phi side's
-    p^2 (qbound - 1)^2 |D| + 1."""
+    p^2 (qbound - 1)^2 |D| + 1.  The prime p, the bound and D are checked
+    before any series is built."""
+    _level(p, prime=True)
     _bound(qbound, 1)
-    require_negative_fundamental(disc)  # before the series is built
+    require_negative_fundamental(disc)
     absd = -disc
     need_phi = p * p * (qbound - 1) ** 2 * absd + 1
     need_psi = 4 * ((qbound - 1) * p * p) + 1

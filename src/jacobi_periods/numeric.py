@@ -81,9 +81,8 @@ value of the completion series once per exact argument.
 
 Two memos of series evaluation outlive a scope, and neither changes a
 bit.  An expansion keeps its evaluation forms (`_form_of`): the point-free
-part of `eval_expansion`, per precision, in a private attribute that goes
-with the expansion, beside a shallow snapshot of coeffs, scale, qbound and
-index; an evaluation that finds any of them changed rebuilds the form.
+part of `eval_expansion`, per precision, in a private attribute kept by its
+identity, never stale since an expansion cannot change once constructed.
 `_h_pair` reads its series from `_h_mu_series`, one instance per
 (mu, qbound) among the 16 most recently used, so every h_mu evaluation at
 one truncation reuses one form.
@@ -277,23 +276,15 @@ def _build_form(coeffs, scale, prec, rnd) -> _Form:
 def _form_of(f, prec, rnd):
     """(index, `_Form` of f at (prec, rnd)), built once per expansion and
     precision.  The forms live in the private attribute `_evaluation_forms`
-    of f, so they go with it, beside a shallow snapshot of the fields they
-    are built from (coeffs, scale, qbound, index); a form is used only while
-    one comparison finds f's fields equal to the snapshot.  A change to any
-    of them runs f's `check_fields` (DomainError for a field rebound to a bad
-    value) and drops every form of f."""
+    of f, kept by its identity: an expansion cannot change after its
+    construction, which checked its fields, so a form is never stale."""
     if isinstance(f, JacobiExpansion):
         m = f.index
     elif isinstance(f, QSeries):
         m = 0
     else:
         raise DomainError("unsupported expansion type")
-    state = (f.coeffs, f.scale, f.qbound, m)
-    memo = f.__dict__.get("_evaluation_forms")
-    if memo is None or memo[0] != state:
-        f.check_fields()
-        memo = f._evaluation_forms = ((dict(f.coeffs), f.scale, f.qbound, m), {})
-    forms = memo[1]
+    forms = f.__dict__.setdefault("_evaluation_forms", {})
     if (prec, rnd) not in forms:
         coeffs = f.coeffs
         if isinstance(f, QSeries):  # the key ns read as (ns, 0)
@@ -320,9 +311,9 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
     What does not depend on the point (the rows sorted by exponent, the
     coefficients converted at the working precision, the distinct (r, c)
     pairs and the tail constant, `_build_form`) is built once per expansion
-    and precision and kept with the expansion (`_form_of`); a later
-    evaluation checks that coeffs, scale, qbound and index are unchanged
-    and reuses it, so a mutated expansion is rebuilt, never read stale."""
+    and precision and kept with the expansion (`_form_of`), which a later
+    evaluation reuses: an expansion is an immutable value, checked once at
+    its construction."""
     with mp.workdps(cfg.dps):
         prec, rnd = mp.mp._prec_rounding
         m, form = _form_of(f, prec, rnd)
@@ -964,7 +955,8 @@ def eichler_theta_integrals(tau, cfg: NumericConfig = DEFAULT_CONFIG):
 @lru_cache(maxsize=16)
 def _h_mu_series(mu: int, qbound: int):
     """h_mu_series(mu, qbound), one instance per (mu, qbound) among the 16
-    most recently used, so its evaluation forms serve every tau."""
+    most recently used, so its evaluation forms serve every tau.  Every
+    caller shares the instance, which is safe because it cannot change."""
     return h_mu_series(mu, qbound)
 
 

@@ -289,6 +289,10 @@ def test_eigen_qbound_is_named_as_given(capsys):
     ("hecke tj --p 0", "level must be >= 1, got 0"),
     ("verify eigen --p -5", "n must be >= 1, got -5"),
     ("verify diagram --p -5", "n must be >= 1, got -5"),
+    ("hecke t2 --p 4", "level must be a prime, got 4"),
+    ("hecke thalf --p 1", "level must be a prime, got 1"),
+    ("verify diagram --p 4", "n must be a prime, got 4"),
+    ("verify diagram --p 1", "n must be a prime, got 1"),
 ])
 def test_hecke_level_is_named_as_given(capsys, command, message):
     # the level is checked before it scales any bound

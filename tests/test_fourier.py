@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import ceil, gcd, isqrt
 from pathlib import Path
@@ -118,8 +119,7 @@ def test_expansion_addition_respects_bounds():
 
 def test_theta_decomposition_negative_control():
     h0 = h_mu_series(0, 10)
-    h0_bad = QSeries(4, dict(h0.coeffs), h0.qbound)
-    h0_bad.coeffs[8] = h0_bad.coeff(8) + 1
+    h0_bad = QSeries(4, {**h0.coeffs, 8: h0.coeff(8) + 1}, h0.qbound)
     combo = theta_combination(h0_bad, h_mu_series(1, 10))
     assert not e21_expansion(10).equal_below(combo, 10)
 
@@ -260,10 +260,15 @@ def test_expansions_refuse_a_bad_scale_or_qbound(make):
     lambda: JacobiExpansion("x", 1, 1, {}, 5),
     lambda: JacobiExpansion(2, None, 1, {}, 5),
     lambda: QSeries(1, {0: float("nan")}, 5),
+    lambda: QSeries(1, {0: "1/3"}, "5"),
+    lambda: QSeries(1, {0: "1/3"}, 5),
+    lambda: JacobiExpansion(2, "1", 1, {}, 5),
 ], ids=["e21_qbound_nan", "QSeries_qbound_inf", "Jacobi_weight_x", "Jacobi_index_None",
-        "QSeries_coefficient_nan"])
+        "QSeries_coefficient_nan", "QSeries_strings", "QSeries_coefficient_string",
+        "Jacobi_index_string"])
 def test_expansions_refuse_what_is_not_a_finite_number(make):
-    # these raised the ValueError, OverflowError or TypeError of Fraction()
+    # these raised the ValueError, OverflowError or TypeError of Fraction(),
+    # and a numeric string was parsed by it
     with pytest.raises(DomainError):
         make()
 
@@ -340,6 +345,35 @@ def test_jacobi_hecke_and_lift_count_orders_below_a_fractional_bound():
     assert empty.qbound == 0 and empty.coeffs == {}
 
 
+@pytest.mark.parametrize("call", [
+    lambda: apply_T_jacobi(e21_expansion(5), 2.5),
+    lambda: tj_needed_nmax(2.5, 3),
+    lambda: apply_V(e21_expansion(5), 2.5),
+    lambda: apply_T_half(h32_series(20), 2.5),
+    lambda: apply_T_weight2(e2_series(20), 2.5),
+    lambda: apply_T_half(h32_series(20), 4),
+    lambda: apply_T_weight2(e2_series(20), 4),
+    lambda: apply_T_weight2(e2_series(20), 1),
+    lambda: diagram_check(1, -3, 6),
+], ids=["T_jacobi_2.5", "tj_needed_nmax_2.5", "V_2.5", "T_half_2.5", "T_weight2_2.5",
+        "T_half_4", "T_weight2_4", "T_weight2_1", "diagram_1"])
+def test_a_level_not_an_int_or_not_a_prime_is_refused(call):
+    # a fractional level gave an empty image, a fractional bound or a
+    # TypeError; T_half and T_weight2 hold only at a prime (T_4 on E_2 gave
+    # the constant term 5, not 7), and the diagram reported a false failure
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_diagram_refuses_a_composite_p_before_any_series_is_built(monkeypatch):
+    def no_series(qbound):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(fourier, "h32_series", no_series)
+    with pytest.raises(DomainError, match="must be a prime, got 4"):
+        diagram_check(4, -3, 6)
+
+
 def test_apply_T_weight2_literal_variant_breaks_eigenvalue():
     e2 = e2_series(41)
     out = apply_T_weight2(e2, 2, literal=True)
@@ -361,14 +395,51 @@ def test_level_one_is_the_identity(apply):
         assert apply(f, 1) == f
 
 
-def test_constructors_adopt_and_normalize_the_coefficient_dict():
+def test_constructors_normalize_a_copy_of_the_coefficient_dict():
     for make, keys in ((lambda c: QSeries(1, c, 5), range(5)),
                        (lambda c: JacobiExpansion(2, 1, 1, c, 5), [(n, 0) for n in range(5)])):
-        given = dict(zip(keys, (Fraction(4, 2), 0, Fraction(1, 3), Fraction(0), 5)))
+        values = (Fraction(4, 2), 0, Fraction(1, 3), Fraction(0), 5)
+        given = dict(zip(keys, values))
         coeffs = make(given).coeffs
-        assert coeffs is given
+        assert list(given.items()) == list(zip(keys, values))  # left as given
+        assert [type(c) for c in given.values()] == [type(c) for c in values]
         assert list(coeffs.items()) == [(keys[0], 2), (keys[2], Fraction(1, 3)), (keys[4], 5)]
         assert [type(c) for c in coeffs.values()] == [int, Fraction, int]
+        with pytest.raises(TypeError):
+            coeffs[keys[1]] = 1
+        given[keys[1]] = 7  # the caller's dict is not aliased
+        assert keys[1] not in coeffs
+
+
+_BUILT = {
+    "e21_expansion": lambda: e21_expansion(8),
+    "h_mu_series": lambda: h_mu_series(1, 8),
+    "theta": lambda: theta(1, 8),
+    "theta_combination": lambda: theta_combination(h_mu_series(0, 8), h_mu_series(1, 8)),
+    "apply_V": lambda: apply_V(e21_expansion(8), 2),
+    "apply_T_jacobi": lambda: apply_T_jacobi(e21_expansion(8), 2),
+    "below_table": lambda: e21_expansion(8).below(5),
+    "below": lambda: h_mu_series(0, 8).below(5),
+    "rescaled": lambda: e21_expansion(8).rescaled(4),
+    "scaled_by_table": lambda: e21_expansion(8).scaled_by(3),
+    "scaled_by": lambda: theta(0, 8).scaled_by(3),
+    "+": lambda: e21_expansion(8) + e21_expansion(5).scaled_by(-1),
+}
+
+
+@pytest.mark.parametrize("make", list(_BUILT.values()), ids=list(_BUILT))
+def test_builders_and_operations_return_immutable_values(make):
+    # no field can be rebound and no term assigned, also after the table
+    # form's lazy dict is built by reading `coeffs`
+    f = make()
+    key = next(iter(f.coeffs))
+    for name in [field.name for field in fields(f)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, name, getattr(f, name))
+    with pytest.raises(TypeError):
+        f.coeffs[key] = 1
+    with pytest.raises(TypeError):
+        del f.coeffs[key]
 
 
 def test_apply_V_identity_and_spot_values():
@@ -618,21 +689,23 @@ def test_pull_form_matches_push_oracle_on_random_inputs(n):
                 assert want.coeffs and _same_image(got, want), (n, seed, k, fractional)
 
 
-def _count_reads(f, budget):
+def _count_reads(monkeypatch, f, budget):
     """Make `f.coeff` count its calls, failing past `budget` of them."""
     reads = []
+    read = JacobiExpansion.coeff
 
-    def coeff(n_scaled, r):
-        reads.append(n_scaled)
-        assert len(reads) <= budget, "read past the reach of the input"
-        return JacobiExpansion.coeff(f, n_scaled, r)
+    def coeff(self, n_scaled, r):
+        if self is f:
+            reads.append(n_scaled)
+            assert len(reads) <= budget, "read past the reach of the input"
+        return read(self, n_scaled, r)
 
-    f.coeff = coeff
+    monkeypatch.setattr(JacobiExpansion, "coeff", coeff)
     return reads
 
 
 @pytest.mark.parametrize("n, n_top", [(1, 40), (2, 12), (3, 6), (4, 2)])
-def test_pull_form_stops_at_the_reach_of_a_sparse_input(n, n_top):
+def test_pull_form_stops_at_the_reach_of_a_sparse_input(monkeypatch, n, n_top):
     # a few terms of order <= n_top under the bound 10^4: the image is the
     # push oracle's, and the loop over N stops at tj_needed_nmax(n, n_top) + 1
     # (each key read at most tau(n^2) n times), far below the output bound
@@ -648,15 +721,15 @@ def test_pull_form_stops_at_the_reach_of_a_sparse_input(n, n_top):
         want = _apply_T_jacobi_push(f, n)
         stop = tj_needed_nmax(n, n_top) + 1
         assert stop < want.qbound
-        reads = _count_reads(f, sum(2 * isqrt(4 * N) + 1 for N in range(stop))
-                             * len(divisors(n * n)) * n)
+        budget = sum(2 * isqrt(4 * N) + 1 for N in range(stop)) * len(divisors(n * n)) * n
+        reads = _count_reads(monkeypatch, f, budget)
         got = apply_T_jacobi(f, n)
         assert want.coeffs and _same_image(got, want) and reads, (n, seed)
 
 
-def test_empty_input_returns_at_once():
+def test_empty_input_returns_at_once(monkeypatch):
     z = JacobiExpansion(2, 1, 1, {}, 10**4)
-    _count_reads(z, 0)  # any coefficient read fails
+    _count_reads(monkeypatch, z, 0)  # any coefficient read fails
     out = apply_T_jacobi(z, 2)
     assert out.coeffs == {}
     assert out.qbound == _apply_T_jacobi_push(z, 2).qbound == 2401
@@ -754,8 +827,7 @@ def test_diagram_linearity_and_negative_control():
     # half-integral action breaks commutativity
     h = h32_series(4 * 9 * 6 + 40)
     th = apply_T_half(h, 2)
-    th_bad = QSeries(1, dict(th.coeffs), th.qbound)
-    th_bad.coeffs[3] = th_bad.coeff(3) + 1
+    th_bad = QSeries(1, {**th.coeffs, 3: th.coeff(3) + 1}, th.qbound)
     lhs = psi_lift(th_bad)
     rhs = apply_T_jacobi(psi_lift(h), 2)
     bound = min(lhs.qbound, rhs.qbound, 5)
