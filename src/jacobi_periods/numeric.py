@@ -69,15 +69,16 @@ residual function, and `_worst` takes its largest magnitude over the points,
 nan if it is nan at any point, so that the check fails.
 
 All evaluations are pure.  One fixed pairwise tree, `pairwise_sum`,
-reduces the sums over Hecke terms and the rows and terms of
-`eval_expansion`, on raw mpc tuples with the `mpc_add` of the mpc operator,
-so results are bit-stable for a given configuration.  Index 1 has two
-theta components, so each tau-only factor (c_mu, h_mu, the period and the
-Eichler integrals) is a pair over mu, and no public function takes a mu;
-each pair is computed once per exact tau and precision inside a
-`_memo_scope`: one per
-evaluation of a slash sum, and one per quadrature-backed check; each beta
-value of the completion series once per exact argument.
+reduces the sums over Hecke terms and the rows of `eval_expansion`, on raw
+mpc tuples with the `mpc_add` of the mpc operator, and each row
+sum_r c zeta^r is one exact dot product per part (`_fdot`, the bits of
+`mp.fdot`), so results are bit-stable for a given configuration.  Index 1
+has two theta components, so each tau-only factor (c_mu, h_mu, the period
+and the Eichler integrals) is a pair over mu, and no public function takes
+a mu; each pair is computed once per exact tau and precision inside a
+`_memo_scope`: one per evaluation of a slash sum, and one per
+quadrature-backed check; each beta value of the completion series once per
+exact argument.
 
 Two memos of series evaluation outlive a scope, and neither changes a
 bit.  An expansion keeps its evaluation forms (`_form_of`): the point-free
@@ -91,6 +92,7 @@ one truncation reuses one form.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -118,10 +120,13 @@ class EvalPoint:
 
 
 def _require_point(tau, z=0):
-    """DomainError unless tau and z are finite and tau lies in the upper half
-    plane: a nan or an infinity would give a nan value beside a finite tail
-    bound, or an error from deep in mpmath, and at Im tau <= 0 neither theta
+    """DomainError unless tau and z are finite numbers and tau lies in the
+    upper half plane: a string (which mpmath would parse) or another
+    non-number would give an error from deep in mpmath, a nan or an infinity
+    a nan value beside a finite tail bound, and at Im tau <= 0 neither theta
     nor the completion series converges."""
+    if not (isinstance(tau, numbers.Number) and isinstance(z, numbers.Number)):
+        raise DomainError(f"tau and z must be numbers, got {tau!r} and {z!r}")
     if not (mp.isfinite(tau) and mp.isfinite(z)):
         raise DomainError("tau and z must be finite")
     if not mp.im(tau) > 0:
@@ -139,8 +144,10 @@ class NumericConfig:
     tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        if min(self.quad_nodes, self.dps) <= 0:
-            raise DomainError("all configuration fields must be positive")
+        for name in ("quad_nodes", "dps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DomainError(f"{name} must be an int of at least 1, got {value!r}")
 
 
 DEFAULT_CONFIG = NumericConfig()
@@ -231,10 +238,10 @@ def _raw_coefficient(c, prec, rnd):
 
 class _Form(NamedTuple):
     """The point-free part of an expansion's evaluation at one (prec, rnd):
-    the distinct (r, raw c) pairs, one (gap to the previous row, slots into
-    the pairs) per row in exponent order, the span of r and the raw tail
-    constant cmax."""
-    pairs: list
+    one (gap to the previous row, exponents r, coefficients c) per row in
+    exponent order, the span of r and the raw tail constant cmax.  A row of
+    one term keeps its c as a raw mpf, for one `mpc_mul_mpf`; a longer row
+    keeps its c as integer pairs, for `_fdot`."""
     rows: list
     rlo: int
     rhi: int
@@ -242,35 +249,33 @@ class _Form(NamedTuple):
 
 
 def _build_form(coeffs, scale, prec, rnd) -> _Form:
-    """The `_Form` of {(ns, r): c} at (prec, rnd).  A row's tail constant is
-    |top| / (ns/scale + 1)^2, over a float, read from its largest exact |c|:
-    rounding once is monotone and symmetric, so that converts to the largest
-    rounded |c|.  A `Fraction` whose numerator is wider than the precision is
-    rounded twice, which is not monotone, so with one of those the rounded
-    values are compared."""
+    """The `_Form` of {(ns, r): c} at (prec, rnd), each distinct c converted
+    once.  A row's tail constant is |top| / (ns/scale + 1)^2, over a float,
+    read from its largest exact |c|: rounding once is monotone and
+    symmetric, so that converts to the largest rounded |c|.  A `Fraction`
+    whose numerator is wider than the precision is rounded twice, which is
+    not monotone, so with one of those the rounded values are compared."""
     rows: dict[int, list] = {}
     for (ns, r), c in sorted(coeffs.items()):
         rows.setdefault(ns, []).append((r, c))
     raw = {c: _raw_coefficient(c, prec, rnd) for c in set(coeffs.values())}
+    pair = {c: _pair(x) for c, x in raw.items()}
     if all(isinstance(c, int) or c.numerator.bit_length() <= prec for c in raw):
         size = abs
     else:
         size = lambda c: abs(mp.make_mpf(raw[c]))
-    slot_of, pairs, layout, cmax, at = {}, [], [], libmp.fone, 0
+    layout, cmax, at = [], libmp.fone, 0
     for ns, row in rows.items():
         top = max((c for _, c in row), key=size)
         weighted = libmp.mpf_div(libmp.mpf_abs(raw[top], prec, rnd),
                                  libmp.from_float((ns / scale + 1) ** 2), prec, rnd)
         if libmp.mpf_gt(weighted, cmax):
             cmax = weighted
-        for r, c in row:
-            if (r, c) not in slot_of:
-                slot_of[r, c] = len(pairs)
-                pairs.append((r, raw[c]))
-        layout.append((ns - at, [slot_of[r, c] for r, c in row]))
+        cs = raw[row[0][1]] if len(row) == 1 else [pair[c] for _, c in row]
+        layout.append((ns - at, [r for r, _ in row], cs))
         at = ns
-    rs = [r for r, _ in pairs]
-    return _Form(pairs, layout, min(rs, default=0), max(rs, default=0), cmax)
+    rs = [r for _, r in coeffs]
+    return _Form(layout, min(rs, default=0), max(rs, default=0), cmax)
 
 
 def _form_of(f, prec, rnd):
@@ -301,34 +306,40 @@ def eval_expansion(f, point: EvalPoint, cfg: NumericConfig = DEFAULT_CONFIG):
 
     Terms are grouped by scaled q-exponent: each row sum_r c zeta^r reads
     zeta^r from one power table of e(z), and the rows are weighted by integer
-    powers of e(tau/scale), so no term costs an exponential.  The loop runs
-    on mpmath's raw tuples with the calls that the mpc operators make, so
-    every bit is theirs: each distinct (r, c) pair is one `mpc_mul_mpf`,
-    each distinct gap between rows takes its power of e(tau/scale) once, and
-    rows and the terms inside each row are reduced by the tree of
+    powers of e(tau/scale), so no term costs an exponential.  Every bit is
+    that of the same loop on mpmath objects with `mp.fdot` for a row: a row
+    is one `_fdot` for its real part and one for its imaginary part, exact
+    products and one rounding each, on integer pairs; a row of one term is
+    its one product, one `mpc_mul_mpf`, which is the same rounding at lower
+    cost (every row of a `QSeries`).  Each distinct gap between rows takes
+    its power of e(tau/scale) once, and the rows are reduced by the tree of
     `pairwise_sum`.
 
-    What does not depend on the point (the rows sorted by exponent, the
-    coefficients converted at the working precision, the distinct (r, c)
-    pairs and the tail constant, `_build_form`) is built once per expansion
-    and precision and kept with the expansion (`_form_of`), which a later
-    evaluation reuses: an expansion is an immutable value, checked once at
-    its construction."""
+    What does not depend on the point (the rows sorted by exponent, each
+    distinct coefficient converted at the working precision, and the tail
+    constant, `_build_form`) is built once per expansion and precision and
+    kept with the expansion (`_form_of`), which a later evaluation reuses:
+    an expansion is an immutable value, checked once at its construction."""
     with mp.workdps(cfg.dps):
         prec, rnd = mp.mp._prec_rounding
         m, form = _form_of(f, prec, rnd)
         tau, z = mp.mpc(point.tau), mp.mpc(point.z)
         zeta = {e: v._mpc_ for e, v in _powers(_e(z), form.rlo, form.rhi).items()}
+        real = {e: _pair(v[0]) for e, v in zeta.items()}
+        imag = {e: _pair(v[1]) for e, v in zeta.items()}
         base = _e(tau / f.scale)._mpc_
         mul, cmul, qpow, parts = libmp.mpc_mul_mpf, libmp.mpc_mul, libmp.mpc_one, []
-        products = [mul(zeta[r], c, prec, rnd) for r, c in form.pairs]
         steps = {}  # e(tau/scale)^gap, once per gap between rows
-        for gap, slots in form.rows:
+        for gap, rs, cs in form.rows:
             if gap not in steps:
                 steps[gap] = libmp.mpc_pow_int(base, gap, prec, rnd)
             qpow = cmul(qpow, steps[gap], prec, rnd)
-            terms = [products[i] for i in slots]
-            parts.append(cmul(qpow, _pairwise(terms, prec, rnd), prec, rnd))
+            if len(rs) == 1:  # its one product is its dot product
+                row = mul(zeta[rs[0]], cs, prec, rnd)
+            else:
+                row = (_raw(_fdot(cs, [real[r] for r in rs], prec, rnd)),
+                       _raw(_fdot(cs, [imag[r] for r in rs], prec, rnd)))
+            parts.append(cmul(qpow, row, prec, rnd))
         value = mp.make_mpc(_pairwise(parts, prec, rnd))
         bound = _tail_bound(m, f.scale, f.qbound, tau, z, mp.make_mpf(form.cmax))
         if bound > cfg.tol:
@@ -434,13 +445,13 @@ def slash_formal_sum(fval, f: FormalSum, k, m):
 # ---------------------------------------------------------------------------
 # Integer arithmetic with libmp's roundings
 #
-# The hot loops of `_theta_sums`, `_kernel` and `_tanh_sinh` run on pairs
-# (man, exp) of Python ints, the value man 2^exp with man odd or 0, as in a
-# normalized raw mpf.  Each function returns, as such a pair, the value of
-# the libmp call it names at (prec, rnd), at a fraction of its cost; the
-# exponents and bit lengths it reads are those of the normalized tuples, so
-# where libmp's rounding depends on them (the shortcuts of `_add` and
-# `_fdot`) it still agrees.
+# The hot loops of `_theta_sums`, `_kernel`, `_tanh_sinh` and the rows of
+# `eval_expansion` run on pairs (man, exp) of Python ints, the value
+# man 2^exp with man odd or 0, as in a normalized raw mpf.  Each function
+# returns, as such a pair, the value of the libmp call it names at
+# (prec, rnd), at a fraction of its cost; the exponents and bit lengths it
+# reads are those of the normalized tuples, so where libmp's rounding
+# depends on them (the shortcuts of `_add` and `_fdot`) it still agrees.
 
 
 def _pair(x):
@@ -527,10 +538,12 @@ def _cadd(z, w, prec, rnd):
 
 
 def _fdot(ws, fs, prec, rnd):
-    """mpf_sum([mpf_mul(w, f) for w, f in zip(ws, fs)], prec, rnd): the exact
-    products summed in order, with mpf_sum's drop of the smaller of the
-    running sum and a new term once they lie more than 2 prec bits apart,
-    and one rounding."""
+    """mpf_sum([mpf_mul(w, f) for w, f in zip(ws, fs)], prec, rnd), the real
+    dot product of `mp.fdot`: the exact products summed in order, with
+    mpf_sum's drop of the smaller of the running sum and a new term once
+    they lie more than 2 prec bits apart, and one rounding.  It sums the
+    tanh-sinh walk's weighted values and each part of a series row of
+    `eval_expansion`."""
     man = exp = 0
     for (wm, we), (fm, fe) in zip(ws, fs):
         xm, xe = wm * fm, we + fe

@@ -2,6 +2,7 @@ import inspect
 import operator
 import random
 import weakref
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import isnan, isqrt
@@ -68,6 +69,16 @@ def test_eval_point_requires_upper_half_plane():
 NAN, INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize("field", ["dps", "quad_nodes"])
+@pytest.mark.parametrize("value", [NAN, INF, 30.5, 6.0, True, False, "6", None, 0, -3])
+def test_numeric_config_refuses_what_is_not_a_positive_int(field, value):
+    # nan and inf built a config that evaluation refused with a ValueError,
+    # dps = 30.5 ran, quad_nodes = True walked degree 1 only, and "6" or 6.5
+    # raised a TypeError inside the walk
+    with pytest.raises(DomainError):
+        NumericConfig(**{field: value})
+
+
 @pytest.mark.parametrize("tau, z", [
     (1j, NAN),
     (1j, complex(0.1, NAN)),
@@ -86,10 +97,14 @@ def test_eval_point_refuses_non_finite_coordinates(tau, z):
 @pytest.mark.parametrize("evaluator", [
     period_value, period_quadrature, e21_value, phi_value,
     pytest.param(lambda tau, z, cfg: theta_pair(tau, z), id="theta_pair"),
+    pytest.param(lambda tau, z, cfg: EvalPoint(tau, z), id="EvalPoint"),
 ])
-@pytest.mark.parametrize("tau, z", [(1j, NAN), (1j, INF), (complex(NAN, 1), 0j)])
+@pytest.mark.parametrize("tau, z", [(1j, NAN), (1j, INF), (complex(NAN, 1), 0j),
+                                    ("1j", 0j), (1j, "0.1"), ("abc", 0j), (1j, None), (1j, [0.1])])
 def test_point_evaluators_refuse_non_finite_coordinates(evaluator, tau, z):
-    # period_value(1j, nan) raised a ValueError from int() of a nan
+    # period_value(1j, nan) raised a ValueError from int() of a nan; a
+    # string was parsed by mpmath, so EvalPoint("1j") built and e21_value("1j",
+    # 0) raised a ValueError, and "abc" a TypeError
     with pytest.raises(DomainError):
         evaluator(tau, z, CFG)
 
@@ -333,9 +348,12 @@ def test_pairwise_sum_is_the_object_tree_bit_for_bit(dps, mixed, length):
 
 
 def _object_eval_expansion(f, point, cfg):
-    """`eval_expansion` on mpmath objects, one mpf per term and the tail
-    constant from the rounded coefficients: the oracle of the bits of its
-    raw-tuple loop, value and bound, and of its `PrecisionError`."""
+    """`eval_expansion` on mpmath objects: each row one `mp.fdot` of its
+    coefficients, one mpf per term, against their powers of zeta (exact
+    products and one rounding per part), the rows weighted by powers of
+    e(tau/scale) and summed by the object tree, and the tail constant from
+    the rounded coefficients.  The oracle of the bits of its raw loop, value
+    and bound, and of its `PrecisionError`; it reads nothing of `_fdot`."""
     if isinstance(f, JacobiExpansion):
         m, coeffs = f.index, f.coeffs
     else:
@@ -355,7 +373,7 @@ def _object_eval_expansion(f, point, cfg):
             cmax = max(cmax, max(abs(c) for c in cs) / (ns / f.scale + 1) ** 2)
             qpow *= base ** (ns - at)
             at = ns
-            parts.append(qpow * _object_tree(c * zeta[r] for c, (r, _) in zip(cs, row)))
+            parts.append(qpow * mp.fdot(cs, [zeta[r] for r, _ in row]))
         value = _object_tree(parts)
         bound = numeric._tail_bound(m, f.scale, f.qbound, tau, z, cmax)
         if bound > cfg.tol:
@@ -432,6 +450,26 @@ def test_tail_constant_of_wide_fractions_is_the_rounded_maximum(dps):
     cfg = replace(CFG, dps=dps)
     for pt in ORACLE_POINTS:
         assert _outcome(eval_expansion, f, pt, cfg) == _outcome(_object_eval_expansion, f, pt, cfg)
+
+
+@pytest.mark.parametrize("dps", [30, 45, 60])
+def test_a_cancelling_row_is_one_dot_product(dps):
+    # at z = iy, zeta = e^(-2 pi y) is real and the row zeta^-3 - K zeta^-2 + 1,
+    # K = e^(2 pi y) to 70 digits, cancels to about the working precision;
+    # the products rounded one by one and summed by the tree give other bits
+    y = 4
+    with mp.workdps(80):
+        k = Fraction(mp.nstr(mp.e ** (2 * mp.pi * y), 70))
+    f = JacobiExpansion(2, 1, 1, {(0, 0): 1, (3, -3): 1, (3, -2): -k, (3, 0): 1}, 60)
+    pt = EvalPoint(2j, complex(0, y))
+    cfg = replace(CFG, dps=dps)
+    assert _outcome(eval_expansion, f, pt, cfg) == _outcome(_object_eval_expansion, f, pt, cfg)
+    with mp.workdps(dps):
+        zeta = numeric._powers(numeric._e(mp.mpc(pt.z)), -3, 0)
+        cs, zs = [mp.mpf(1), -mp.mpf(k.numerator) / k.denominator, mp.mpf(1)], [zeta[-3], zeta[-2], zeta[0]]
+        dot, tree = mp.fdot(cs, zs), _object_tree(c * w for c, w in zip(cs, zs))
+        assert abs(dot - 1) < mp.mpf(2) ** (20 - mp.mp.prec) * abs(zs[0])
+        assert dot != tree
 
 
 @pytest.mark.parametrize("dps", [30, 45, 60])
@@ -523,20 +561,23 @@ def test_evaluation_forms_go_with_their_expansion():
     assert gone() is None  # freed by its reference count: no cycle, no global entry
 
 
-def test_a_second_evaluation_converts_nothing_and_multiplies_each_pair_once(monkeypatch):
+def test_a_second_evaluation_converts_nothing_and_takes_one_dot_per_row_part(monkeypatch):
+    # a row of one term is one product, a longer row one `_fdot` per part
+    # over its terms; only the first evaluation converts the coefficients
     f = e21_expansion(48)
-    converted, products = [], []
+    converted, dots, products = [], [], []
     _counting(monkeypatch, "_raw_coefficient", converted)
+    _counting(monkeypatch, "_fdot", dots)
     mul = numeric.libmp.mpc_mul_mpf
     monkeypatch.setattr(numeric.libmp, "mpc_mul_mpf", lambda *args: products.append(args) or mul(*args))
-    pairs = {(r, c) for (_, r), c in f.coeffs.items()}
-    assert (len(f.coeffs), len(pairs)) == (876, 325)
-    eval_expansion(f, ORACLE_POINTS[0], CFG)
-    assert len(converted) == len(set(f.coeffs.values())) and len(products) == 325
-    converted.clear()
-    products.clear()
-    eval_expansion(f, ORACLE_POINTS[1], CFG)
-    assert converted == [] and len(products) == 325
+    lengths = Counter(n for n, _ in f.coeffs)
+    assert (len(f.coeffs), len(lengths), list(lengths.values()).count(1)) == (876, 48, 1)
+    for pt, conversions in zip(ORACLE_POINTS[:2], (len(set(f.coeffs.values())), 0)):
+        eval_expansion(f, pt, CFG)
+        assert len(converted) == conversions and len(products) == 1
+        assert len(dots) == 2 * 47 and sum(len(ws) for ws, *_ in dots) == 2 * 875
+        for calls in (converted, dots, products):
+            calls.clear()
 
 
 def test_e21_value_builds_each_h_mu_series_once_per_qbound(monkeypatch):
